@@ -24,6 +24,9 @@ int main() {
     cfg.warmup = 10 * kSecond;
     cfg.duration = 40 * kSecond;
     cfg.seed = 37;
+    if (protocol == Protocol::kByzCast2Level && pattern == Pattern::kMixed) {
+      enable_sidecar_spans(cfg);
+    }
     return run_experiment(cfg);
   };
 

@@ -56,6 +56,7 @@ int main() {
     cfg.warmup = 1 * kSecond;
     cfg.duration = 3 * kSecond;
     cfg.seed = 7;
+    if (cell.protocol == Protocol::kByzCast2Level) enable_sidecar_spans(cfg);
     const ExperimentResult res = run_experiment(cfg);
     // The skewed/2-level cell is the interesting one observability-wise:
     // the saturated root's queue depth and CPU-busy fraction explain the

@@ -25,11 +25,11 @@ double run(Protocol protocol, Pattern pattern, int groups, int clients) {
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.seed = 11;
+  const bool probe = protocol == Protocol::kByzCast2Level &&
+                     pattern == Pattern::kGlobalUniformPairs;
+  if (probe) enable_sidecar_spans(cfg);
   const ExperimentResult res = run_experiment(cfg);
-  if (protocol == Protocol::kByzCast2Level &&
-      pattern == Pattern::kGlobalUniformPairs) {
-    g_probe = res;
-  }
+  if (probe) g_probe = res;
   return res.throughput;
 }
 

@@ -41,11 +41,11 @@ void sweep(const char* title, Pattern pattern) {
       cfg.warmup = 1 * kSecond;
       cfg.duration = 2500 * kMillisecond;
       cfg.seed = 13;
+      const bool probe = curve.protocol == Protocol::kByzCast2Level &&
+                         pattern == Pattern::kGlobalUniformPairs;
+      if (probe) enable_sidecar_spans(cfg);
       const ExperimentResult res = run_experiment(cfg);
-      if (curve.protocol == Protocol::kByzCast2Level &&
-          pattern == Pattern::kGlobalUniformPairs) {
-        g_probe = res;
-      }
+      if (probe) g_probe = res;
       rows.push_back({std::to_string(clients_per_group * curve.groups),
                       fmt(res.throughput, 0),
                       fmt(res.latency_all.mean_ms()),

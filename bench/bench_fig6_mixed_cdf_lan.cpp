@@ -23,6 +23,9 @@ int main() {
     cfg.warmup = 1 * kSecond;
     cfg.duration = 3 * kSecond;
     cfg.seed = 17;
+    if (protocol == Protocol::kByzCast2Level && pattern == Pattern::kMixed) {
+      enable_sidecar_spans(cfg);
+    }
     return run_experiment(cfg);
   };
 

@@ -24,6 +24,11 @@ ExperimentResult run(Protocol protocol, Pattern pattern, int groups) {
   cfg.warmup = 500 * kMillisecond;
   cfg.duration = 4 * kSecond;
   cfg.seed = 23;
+  // The ByzCast global runs feed the metrics sidecar.
+  if (protocol == Protocol::kByzCast2Level &&
+      pattern == Pattern::kGlobalUniformPairs) {
+    enable_sidecar_spans(cfg);
+  }
   return run_experiment(cfg);
 }
 

@@ -23,6 +23,11 @@ ExperimentResult run(Protocol protocol, Pattern pattern) {
   cfg.warmup = 5 * kSecond;
   cfg.duration = 60 * kSecond;
   cfg.seed = 29;
+  // The ByzCast global run feeds the metrics sidecar.
+  if (protocol == Protocol::kByzCast2Level &&
+      pattern == Pattern::kGlobalUniformPairs) {
+    enable_sidecar_spans(cfg);
+  }
   return run_experiment(cfg);
 }
 

@@ -23,6 +23,7 @@ int main() {
     cfg.warmup = 10 * kSecond;
     cfg.duration = 40 * kSecond;
     cfg.seed = 31;
+    if (protocol == Protocol::kByzCast2Level) enable_sidecar_spans(cfg);
     return run_experiment(cfg);
   };
 

@@ -73,8 +73,9 @@ ConfigResult run_config(int groups, double global_fraction,
   opts.runtime.seed = 97;
   if (sidecar != nullptr) {
     sidecar->metrics = std::make_shared<MetricsRegistry>();
-    sidecar->trace = std::make_shared<TraceLog>();
-    opts.obs = Observability{sidecar->metrics.get(), sidecar->trace.get()};
+    sidecar->spans = std::make_shared<SpanLog>();
+    opts.obs = Observability{.metrics = sidecar->metrics.get(),
+                             .spans = sidecar->spans.get()};
   }
   runtime::ParallelSystem system(make_tree(groups), /*f=*/1, opts);
 
@@ -82,6 +83,10 @@ ConfigResult run_config(int groups, double global_fraction,
   std::vector<Rng> rngs;
   for (int c = 0; c < kClients; ++c) {
     clients.push_back(&system.add_client("client" + std::to_string(c)));
+    if (sidecar != nullptr) {
+      clients.back()->set_trace_sample_every(
+          workload::kSidecarSpanSampleEvery);
+    }
     rngs.push_back(system.env().fork_rng());
   }
 

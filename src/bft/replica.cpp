@@ -458,6 +458,7 @@ void Replica::accept_proposal(std::uint64_t view, std::uint64_t instance,
   if (instance < next_instance_) return;  // already decided
   if (instance >= next_instance_ + pipeline_depth()) {
     // Beyond our window: we are behind regardless of views.
+    ++counters_.out_of_window_proposals;
     max_seen_instance_ = std::max(max_seen_instance_, instance);
     request_state_transfer();
     return;

@@ -140,6 +140,8 @@ class Replica final : public sim::Actor, public ReplicaContext {
                                           // order, applied later
     std::uint64_t staged_verifies = 0;    // messages pre-verified off-stage
     std::uint64_t deferred_execs = 0;     // requests sharded to exec stage
+    std::uint64_t out_of_window_proposals = 0;  // PROPOSEs past the pipeline
+                                                // window, dropped
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 

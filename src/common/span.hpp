@@ -15,9 +15,9 @@
 //    of the Chrome trace. Off by default (set_actor_spans) because they cost
 //    one record per wire message.
 //
-// Like TraceLog, the log is append-only and capacity-bounded: when full,
-// recording stops (keeping early traces complete) and drops are counted so
-// exports report truncation instead of silently presenting partial data.
+// The log is append-only and capacity-bounded: when full, recording stops
+// (keeping early traces complete) and drops are counted so exports report
+// truncation instead of silently presenting partial data.
 // record() is thread-safe (runtime workers stamp concurrently); the readers
 // must only run after recording has quiesced.
 #pragma once

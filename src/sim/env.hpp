@@ -19,10 +19,27 @@
 
 #include "common/auth.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
 #include "common/types.hpp"
 #include "sim/profile.hpp"
 #include "sim/wire.hpp"
+
+namespace byzcast {
+
+class MetricsRegistry;
+class MonitorHub;
+class SpanLog;
+
+/// Bundle of non-owning observability sinks threaded through composition
+/// roots (ByzCastSystem, Simulation) into ExecutionEnv::attach_observability.
+/// Null members disable that sink; the default-constructed bundle makes
+/// every stamp a no-op.
+struct Observability {
+  MetricsRegistry* metrics = nullptr;
+  SpanLog* spans = nullptr;
+  MonitorHub* monitors = nullptr;
+};
+
+}  // namespace byzcast
 
 namespace byzcast::sim {
 
@@ -48,7 +65,6 @@ class ExecutionEnv {
   /// disable that sink.
   virtual void attach_observability(Observability obs) = 0;
   [[nodiscard]] virtual MetricsRegistry* metrics() const = 0;
-  [[nodiscard]] virtual TraceLog* trace() const = 0;
   [[nodiscard]] virtual SpanLog* spans() const = 0;
 
   /// Allocates a fresh system-wide process id.

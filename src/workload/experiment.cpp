@@ -172,6 +172,22 @@ std::string replica_label(GroupId g, int index) {
   return to_string(g) + ".r" + std::to_string(index);
 }
 
+/// Per-replica protocol counters of one group, pulled into the registry
+/// after the run; every protocol publishes the same replica.* names.
+void export_replica_counters(MetricsRegistry& reg, bft::Group& grp,
+                             Time horizon) {
+  for (int i = 0; i < grp.n(); ++i) {
+    const auto& rep = grp.replica(i);
+    const std::string label = replica_label(grp.id(), i);
+    reg.counter("replica.executed." + label).inc(rep.executed_requests());
+    reg.counter("replica.decided." + label).inc(rep.decided_instances());
+    reg.counter("replica.mac_memo_hits." + label).inc(rep.mac_memo_hits());
+    reg.gauge("replica.cpu_busy_mean." + label)
+        .set(static_cast<double>(rep.busy_time()) /
+             static_cast<double>(horizon));
+  }
+}
+
 /// Per-group a-delivery counters restricted to the measurement window, and
 /// per-replica protocol counters, pulled into the registry after the run.
 void export_run_counters(MetricsRegistry& reg, core::ByzCastSystem& sys,
@@ -182,17 +198,7 @@ void export_run_counters(MetricsRegistry& reg, core::ByzCastSystem& sys,
     }
   }
   for (const auto& [gid, info] : sys.registry()) {
-    auto& grp = sys.group(gid);
-    for (int i = 0; i < grp.n(); ++i) {
-      const auto& rep = grp.replica(i);
-      const std::string label = replica_label(gid, i);
-      reg.counter("replica.executed." + label).inc(rep.executed_requests());
-      reg.counter("replica.decided." + label).inc(rep.decided_instances());
-      reg.counter("replica.mac_memo_hits." + label).inc(rep.mac_memo_hits());
-      reg.gauge("replica.cpu_busy_mean." + label)
-          .set(static_cast<double>(rep.busy_time()) /
-               static_cast<double>(horizon));
-    }
+    export_replica_counters(reg, sys.group(gid), horizon);
   }
 }
 
@@ -272,9 +278,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::unique_ptr<sim::MetricsSampler> sampler;
   if (config.observability) {
     result.metrics = std::make_shared<MetricsRegistry>();
-    result.trace = std::make_shared<TraceLog>(config.trace_capacity);
     obs.metrics = result.metrics.get();
-    obs.trace = result.trace.get();
     if (config.span_tracing) {
       result.spans = std::make_shared<SpanLog>(config.span_capacity);
       obs.spans = result.spans.get();
@@ -328,15 +332,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     sim->run_until(horizon);
     result.wire_messages = sim->network().messages_sent();
     if (obs.metrics != nullptr) {
-      for (int i = 0; i < group.n(); ++i) {
-        const auto& rep = group.replica(i);
-        const std::string label = replica_label(group.id(), i);
-        obs.metrics->counter("replica.executed." + label)
-            .inc(rep.executed_requests());
-        obs.metrics->gauge("replica.cpu_busy_mean." + label)
-            .set(static_cast<double>(rep.busy_time()) /
-                 static_cast<double>(horizon));
-      }
+      export_replica_counters(*obs.metrics, group, horizon);
     }
   } else {
     // Assemble the tree-based protocols.

@@ -1,5 +1,6 @@
 #include "workload/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -86,50 +87,6 @@ void write_series_csv(const std::string& path,
   }
 }
 
-void write_metrics_sidecar(const std::string& path,
-                           const ExperimentResult& result) {
-  if (!result.metrics) return;
-  auto out = open_csv(path);
-  if (!out) return;
-  out << "{\"summary\":{";
-  out << "\"throughput\":" << result.throughput;
-  out << ",\"throughput_local\":" << result.throughput_local;
-  out << ",\"throughput_global\":" << result.throughput_global;
-  out << ",\"completed\":" << result.completed;
-  out << ",\"a_deliveries\":" << result.a_deliveries;
-  out << ",\"wire_messages\":" << result.wire_messages;
-  out << ",\"latency_mean_ms\":" << result.latency_all.mean_ms();
-  out << ",\"latency_p95_ms\":" << result.latency_all.percentile_ms(95);
-  out << "},\"metrics\":" << result.metrics->to_json();
-
-  out << ",\"trace\":{";
-  if (result.trace) {
-    out << "\"events_recorded\":" << result.trace->records().size();
-    out << ",\"events_dropped\":" << result.trace->dropped();
-    const MessageId pick = result.trace->find_multi_hop();
-    out << ",\"example_multi_hop\":";
-    if (pick.origin.valid()) {
-      out << "{\"msg\":\"" << to_string(pick) << "\",\"hops\":[";
-      bool first = true;
-      for (const auto& rec : result.trace->path(pick)) {
-        if (!first) out << ",";
-        first = false;
-        out << "{\"group\":" << rec.group.value
-            << ",\"replica\":" << rec.replica.value << ",\"event\":\""
-            << to_string(rec.event) << "\",\"hop\":" << rec.hop
-            << ",\"t_ms\":" << to_ms(rec.when) << "}";
-      }
-      out << "]}";
-    } else {
-      out << "null";
-    }
-  } else {
-    out << "\"events_recorded\":0,\"events_dropped\":0,"
-           "\"example_multi_hop\":null";
-  }
-  out << "}}\n";
-}
-
 namespace {
 
 void json_components(std::ostream& out, const core::Components& c) {
@@ -157,7 +114,62 @@ void json_aggregate(std::ostream& out, const core::ClassAggregate& a) {
   out << "}";
 }
 
+void json_hops(std::ostream& out,
+               const std::vector<core::HopBreakdown>& hops) {
+  out << "[";
+  bool first = true;
+  for (const auto& h : hops) {
+    if (!first) out << ",";
+    first = false;
+    out << "{\"group\":" << h.group.value << ",\"replica\":"
+        << h.replica.value << ",\"components\":";
+    json_components(out, h.components);
+    out << "}";
+  }
+  out << "]";
+}
+
 }  // namespace
+
+void write_metrics_sidecar(const std::string& path,
+                           const ExperimentResult& result) {
+  if (!result.metrics) return;
+  auto out = open_csv(path);
+  if (!out) return;
+  out << "{\"summary\":{";
+  out << "\"throughput\":" << result.throughput;
+  out << ",\"throughput_local\":" << result.throughput_local;
+  out << ",\"throughput_global\":" << result.throughput_global;
+  out << ",\"completed\":" << result.completed;
+  out << ",\"a_deliveries\":" << result.a_deliveries;
+  out << ",\"wire_messages\":" << result.wire_messages;
+  out << ",\"latency_mean_ms\":" << result.latency_all.mean_ms();
+  out << ",\"latency_p95_ms\":" << result.latency_all.percentile_ms(95);
+  out << "},\"metrics\":" << result.metrics->to_json();
+
+  out << ",\"trace\":";
+  if (result.spans) {
+    out << "{\"spans_recorded\":" << result.spans->spans().size();
+    out << ",\"spans_dropped\":" << result.spans->dropped();
+    out << ",\"example_multi_hop\":";
+    const core::CriticalPathAnalyzer analyzer(*result.spans);
+    const auto& msgs = analyzer.messages();
+    const auto pick = std::find_if(msgs.begin(), msgs.end(), [](const auto& m) {
+      return m.complete && m.is_global;
+    });
+    if (pick != msgs.end()) {
+      out << "{\"msg\":\"" << to_string(pick->id) << "\",\"hops\":";
+      json_hops(out, pick->hops);
+      out << "}";
+    } else {
+      out << "null";
+    }
+    out << "}";
+  } else {
+    out << "null";
+  }
+  out << "}\n";
+}
 
 void write_span_sidecar(const std::string& path,
                         const ExperimentResult& result, int f) {
@@ -185,17 +197,8 @@ void write_span_sidecar(const std::string& path,
     if (m.complete) {
       out << ",\"critical_dst\":" << m.critical_dst.value << ",\"totals\":";
       json_components(out, m.totals);
-      out << ",\"hops\":[";
-      bool hop_first = true;
-      for (const auto& h : m.hops) {
-        if (!hop_first) out << ",";
-        hop_first = false;
-        out << "{\"group\":" << h.group.value << ",\"replica\":"
-            << h.replica.value << ",\"components\":";
-        json_components(out, h.components);
-        out << "}";
-      }
-      out << "]";
+      out << ",\"hops\":";
+      json_hops(out, m.hops);
     }
     out << "}";
   }

@@ -3,6 +3,7 @@
 // dumps.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,12 +40,24 @@ void write_series_csv(const std::string& path,
 /// Writes the machine-readable metrics sidecar for one experiment run as
 /// JSON: the whole MetricsRegistry (per-group a-delivery counters,
 /// per-replica CPU-busy / queue-depth timeseries, batch-size histograms),
-/// run summary numbers, and one reconstructed hop trace of a multi-hop
-/// (global) message when the run produced one. Benches emit this next to
-/// their CSVs; tools/plot_benches.py consumes it. No-op (removing any stale
-/// file is NOT attempted) when the run had observability disabled.
+/// run summary numbers, and a "trace" section built from the run's spans:
+/// span counts and the critical-path hops of the first complete global
+/// message (null without a SpanLog). Benches emit this next to their CSVs;
+/// tools/plot_benches.py consumes it. No-op (removing any stale file is NOT
+/// attempted) when the run had observability disabled.
 void write_metrics_sidecar(const std::string& path,
                            const ExperimentResult& result);
+
+/// Sampling rate of the spans behind a metrics sidecar's "trace" section.
+constexpr std::uint32_t kSidecarSpanSampleEvery = 64;
+
+/// Turns on the sampled span tracing a metrics sidecar's "trace" section is
+/// built from. Spans never move simulated time: the run's figures are the
+/// same as without them.
+inline void enable_sidecar_spans(ExperimentConfig& cfg) {
+  cfg.span_tracing = true;
+  cfg.span_sample_every = kSidecarSpanSampleEvery;
+}
 
 /// Writes the deterministic span sidecar (schema "byzcast-spans-v1") for a
 /// run with span tracing on: per-message critical-path breakdowns sorted by

@@ -107,6 +107,13 @@ std::optional<WorkloadSpec> parse_workload_spec(const Json& doc,
   if (doc.has("observability")) {
     cfg.observability = doc.get("observability").as_bool();
   }
+  if (!cfg.observability && (cfg.monitors || cfg.span_tracing)) {
+    // run_experiment builds monitors and spans on top of observability; a
+    // spec asking for them without it would silently get neither.
+    fail(error, "\"monitors\" and \"span_tracing\" require "
+                "\"observability\"");
+    return std::nullopt;
+  }
 
   const Json& wl = doc.get("workload");
   if (wl.is_object()) {

@@ -1,5 +1,6 @@
 // Protocol-event counters: quiet runs install no views, leader crashes do,
-// rejected requests are counted, and checkpoints fire on schedule.
+// rejected requests and out-of-window proposals are counted, and
+// checkpoints fire on schedule.
 #include <gtest/gtest.h>
 
 #include "bft/client_proxy.hpp"
@@ -38,6 +39,7 @@ TEST(Counters, QuietRunInstallsNoViews) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(group.replica(i).counters().views_installed, 0u);
     EXPECT_EQ(group.replica(i).counters().state_transfers, 0u);
+    EXPECT_EQ(group.replica(i).counters().out_of_window_proposals, 0u);
   }
   // Only the leader proposes in view 0.
   EXPECT_GT(group.replica(0).counters().proposals_made, 0u);
@@ -94,6 +96,22 @@ TEST(Counters, RejectedRequestsCounted) {
   sim.run_until(5 * kSecond);
   EXPECT_EQ(group.replica(0).counters().rejected_requests, 2u);
   EXPECT_EQ(group.replica(0).executed_requests(), 0u);
+}
+
+TEST(Counters, OutOfWindowProposalsCounted) {
+  // Cut one follower off while the client keeps the leader proposing: once
+  // the partition heals, the PROPOSEs it hears are far past its pipeline
+  // window, so it drops them (and catches up by state transfer).
+  std::map<int, ExecutionTrace> traces;
+  sim::Simulation sim(205, sim::Profile::lan());
+  Group group(sim, GroupId{0}, 1, recording_factory(traces));
+  const std::vector<ProcessId>& replicas = group.info().replicas();
+  sim.network().faults().partition({replicas[3]},
+                                   {replicas[0], replicas[1], replicas[2]},
+                                   /*heal_at=*/200 * kMillisecond);
+  EXPECT_EQ(run_ops(sim, group, 400, 60 * kSecond), 400);
+  EXPECT_GT(group.replica(3).counters().out_of_window_proposals, 0u);
+  EXPECT_EQ(group.replica(0).counters().out_of_window_proposals, 0u);
 }
 
 TEST(Counters, CheckpointsFollowPeriod) {

@@ -23,8 +23,8 @@ struct HarnessConfig {
   core::Routing routing = core::Routing::kGenuine;
   core::FaultPlan faults;
   std::uint64_t seed = 1;
-  /// Optional metric/trace sinks, shared by every node; must outlive the
-  /// harness when set.
+  /// Optional metric/span/monitor sinks, shared by every node; must outlive
+  /// the harness when set.
   Observability obs;
   /// When obs.spans is set, clients trace every n-th message (0 = none).
   std::uint32_t trace_sample_every = 0;

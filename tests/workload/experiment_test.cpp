@@ -111,5 +111,38 @@ TEST(Experiment, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.latency_all.mean_ms(), b.latency_all.mean_ms());
 }
 
+/// Spans are stamped beside the protocol, never into it: the same seed with
+/// spans off, sampled at 1/64 and on every message must simulate the very
+/// same run. The metrics sidecars of the figure benches rely on this.
+void expect_spans_leave_run_unchanged(Environment env) {
+  auto cfg = quick(Protocol::kByzCast2Level, Pattern::kMixed, 2, 20);
+  cfg.environment = env;
+  if (env == Environment::kWan) cfg.duration = 3 * kSecond;
+  const auto untraced = run_experiment(cfg);
+  ASSERT_GT(untraced.completed, 0u);
+  ASSERT_EQ(untraced.spans, nullptr);
+  for (const std::uint32_t every : {64u, 1u}) {
+    cfg.span_tracing = true;
+    cfg.span_sample_every = every;
+    const auto traced = run_experiment(cfg);
+    ASSERT_NE(traced.spans, nullptr);
+    EXPECT_FALSE(traced.spans->spans().empty()) << "1/" << every;
+    EXPECT_EQ(traced.completed, untraced.completed) << "1/" << every;
+    EXPECT_EQ(traced.wire_messages, untraced.wire_messages) << "1/" << every;
+    EXPECT_EQ(traced.a_deliveries, untraced.a_deliveries) << "1/" << every;
+    EXPECT_EQ(traced.latency_all.cdf(traced.latency_all.count()),
+              untraced.latency_all.cdf(untraced.latency_all.count()))
+        << "1/" << every;
+  }
+}
+
+TEST(Experiment, SpanTracingNeverPerturbsLanRun) {
+  expect_spans_leave_run_unchanged(Environment::kLan);
+}
+
+TEST(Experiment, SpanTracingNeverPerturbsWanRun) {
+  expect_spans_leave_run_unchanged(Environment::kWan);
+}
+
 }  // namespace
 }  // namespace byzcast::workload

@@ -60,7 +60,7 @@ TEST(Report, CdfCsvWritesFile) {
   EXPECT_GT(lines, 5);
 }
 
-TEST(Report, MetricsSidecarWritesObservabilityJson) {
+ExperimentConfig sidecar_config() {
   ExperimentConfig cfg;
   cfg.protocol = Protocol::kByzCast2Level;
   cfg.num_groups = 2;
@@ -69,32 +69,57 @@ TEST(Report, MetricsSidecarWritesObservabilityJson) {
   cfg.warmup = 200 * kMillisecond;
   cfg.duration = 1 * kSecond;
   cfg.seed = 5;
-  const ExperimentResult result = run_experiment(cfg);
-  ASSERT_NE(result.metrics, nullptr);
-  ASSERT_NE(result.trace, nullptr);
+  return cfg;
+}
 
-  const std::string path = ::testing::TempDir() + "bzc_metrics_test.json";
+std::string write_and_read_sidecar(const ExperimentResult& result,
+                                   const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
   write_metrics_sidecar(path, result);
   std::ifstream in(path);
-  ASSERT_TRUE(in.good());
+  EXPECT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  const std::string json = buf.str();
+  return buf.str();
+}
+
+TEST(Report, MetricsSidecarWritesObservabilityJson) {
+  ExperimentConfig cfg = sidecar_config();
+  enable_sidecar_spans(cfg);
+  const ExperimentResult result = run_experiment(cfg);
+  ASSERT_NE(result.metrics, nullptr);
+  ASSERT_NE(result.spans, nullptr);
+  const std::string json =
+      write_and_read_sidecar(result, "bzc_metrics_test.json");
 
   // Acceptance-criterion contents: per-group a-delivery counters, per-replica
-  // CPU-busy fractions, and a reconstructed multi-hop trace.
+  // CPU-busy fractions, and the span-built critical path of one global
+  // message: the entry group, then a destination, each with its components.
   EXPECT_NE(json.find("\"group.a_deliveries.g0\""), std::string::npos);
   EXPECT_NE(json.find("\"group.a_deliveries.g1\""), std::string::npos);
   EXPECT_NE(json.find("\"replica.cpu_busy_mean.g0.r0\""), std::string::npos);
   EXPECT_NE(json.find("\"actor.queue_depth.g0.r0\""), std::string::npos);
-  EXPECT_NE(json.find("\"example_multi_hop\""), std::string::npos);
-  EXPECT_NE(json.find("\"a_delivered\""), std::string::npos);
+  EXPECT_NE(json.find("\"spans_recorded\""), std::string::npos);
+  EXPECT_NE(json.find("\"spans_dropped\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"example_multi_hop\":{\"msg\""), std::string::npos);
+  EXPECT_NE(json.find("\"hops\":[{\"group\":2,"), std::string::npos);
+  EXPECT_NE(json.find("\"quorum_wait_ns\""), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
 }
 
+TEST(Report, MetricsSidecarTraceIsNullWithoutSpans) {
+  const ExperimentResult result = run_experiment(sidecar_config());
+  ASSERT_NE(result.metrics, nullptr);
+  ASSERT_EQ(result.spans, nullptr);
+  const std::string json =
+      write_and_read_sidecar(result, "bzc_metrics_untraced_test.json");
+  EXPECT_NE(json.find("\"group.a_deliveries.g0\""), std::string::npos);
+  EXPECT_NE(json.find(",\"trace\":null}"), std::string::npos);
+}
+
 TEST(Report, MetricsSidecarIsNoOpWithoutObservability) {
-  ExperimentResult result;  // metrics/trace left null
+  ExperimentResult result;  // metrics/spans left null
   const std::string path =
       ::testing::TempDir() + "bzc_metrics_absent_test.json";
   write_metrics_sidecar(path, result);

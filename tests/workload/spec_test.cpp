@@ -152,6 +152,21 @@ TEST(WorkloadSpec, RejectsBadDocuments) {
   }
 }
 
+TEST(WorkloadSpec, RejectsMonitorsOrSpansWithoutObservability) {
+  // run_experiment only builds monitors and spans when observability is on,
+  // so such a spec would pass a zero-violations gate without checking.
+  for (const char* text :
+       {R"({"name": "x", "observability": false, "monitors": true})",
+        R"({"name": "x", "observability": false, "span_tracing": true})"}) {
+    std::string error;
+    EXPECT_FALSE(parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("observability"), std::string::npos) << error;
+  }
+  const auto plain = parse(R"({"name": "x", "observability": false})");
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_FALSE(plain->base.observability);
+}
+
 TEST(WorkloadSpec, ApplyAblationSetsExactlyTheNamedSwitch) {
   ExperimentConfig cfg;
   EXPECT_TRUE(apply_ablation(cfg, "zero_copy_off"));
