@@ -32,8 +32,8 @@ Digest fast_mac(std::uint64_t key64, BytesView data) {
 
 }  // namespace
 
-KeyStore::KeyStore(std::uint64_t master_seed, MacMode mode, bool verify_memo)
-    : master_seed_(master_seed), mode_(mode), verify_memo_(verify_memo) {}
+KeyStore::KeyStore(std::uint64_t master_seed, MacMode mode)
+    : master_seed_(master_seed), mode_(mode) {}
 
 std::uint64_t KeyStore::pair_key64(ProcessId a, ProcessId b) const {
   const std::int32_t lo = std::min(a.value, b.value);
@@ -55,12 +55,39 @@ Bytes KeyStore::pair_key(ProcessId a, ProcessId b) const {
   return Bytes(d.begin(), d.end());
 }
 
+Authenticator::~Authenticator() {
+  if (!table_) return;
+  for (std::size_t i = 0; i < kKeyTableCap; ++i) {
+    delete table_[i].load();
+  }
+}
+
+Digest Authenticator::hmac(ProcessId peer, BytesView data) const {
+  // Negative ids wrap to huge indices and take the uncached path too.
+  const auto index = static_cast<std::uint32_t>(peer.value);
+  if (index >= kKeyTableCap) {
+    return HmacKey(keys_->pair_key(self_, peer)).mac(data);
+  }
+  std::call_once(table_init_, [this] {
+    table_ = std::make_unique<std::atomic<const HmacKey*>[]>(kKeyTableCap);
+  });
+  std::atomic<const HmacKey*>& slot = table_[index];
+  const HmacKey* key = slot.load();
+  if (key == nullptr) {
+    auto fresh = std::make_unique<const HmacKey>(keys_->pair_key(self_, peer));
+    // On a lost race `key` receives the winner's entry and `fresh` is freed.
+    if (slot.compare_exchange_strong(key, fresh.get())) {
+      key = fresh.release();
+    }
+  }
+  return key->mac(data);
+}
+
 Digest Authenticator::sign(ProcessId to, BytesView data) const {
   if (keys_->mode() == MacMode::kFast) {
     return fast_mac(keys_->pair_key64(self_, to), data);
   }
-  const Bytes key = keys_->pair_key(self_, to);
-  return hmac_sha256(key, data);
+  return hmac(to, data);
 }
 
 bool Authenticator::verify(ProcessId from, BytesView data,
@@ -68,54 +95,7 @@ bool Authenticator::verify(ProcessId from, BytesView data,
   if (keys_->mode() == MacMode::kFast) {
     return fast_mac(keys_->pair_key64(from, self_), data) == mac;
   }
-  if (!keys_->verify_memo()) {  // mac_memo_off ablation: always full HMAC
-    const Bytes key = keys_->pair_key(from, self_);
-    return hmac_sha256(key, data) == mac;
-  }
-  // Memo lookup: one SHA-256 pass over the payload instead of the full HMAC
-  // when this exact (sender, payload, mac) triple was already verified. The
-  // slot is matched on the payload's full digest — second-preimage
-  // resistance rules out a different payload hitting a stored entry, so the
-  // memo never accepts anything HMAC itself would not. Concurrent verifiers
-  // (the verify-stage worker pool) coordinate through the per-slot try-lock;
-  // losing the lock race degrades to a full HMAC, never to a wrong answer.
-  const Digest ph = Sha256::hash(data);
-  std::uint64_t fp = 0;
-  for (int i = 0; i < 8; ++i) {
-    fp |= static_cast<std::uint64_t>(ph[static_cast<std::size_t>(i)])
-          << (8 * i);
-  }
-  std::call_once(cache_init_, [this] {
-    cache_ = std::make_unique<CacheSlot[]>(cache_slots_);
-  });
-  CacheSlot& slot =
-      cache_[(fp ^ static_cast<std::uint64_t>(
-                       static_cast<std::uint32_t>(from.value) * 0x9e3779b9U)) %
-             cache_slots_];
-  std::uint32_t free_lock = 0;
-  if (slot.busy.compare_exchange_strong(free_lock, 1,
-                                        std::memory_order_acquire)) {
-    const bool hit =
-        slot.from == from.value && slot.payload_hash == ph && slot.mac == mac;
-    slot.busy.store(0, std::memory_order_release);
-    if (hit) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  const Bytes key = keys_->pair_key(from, self_);
-  const bool ok = hmac_sha256(key, data) == mac;
-  if (ok) {
-    free_lock = 0;
-    if (slot.busy.compare_exchange_strong(free_lock, 1,
-                                          std::memory_order_acquire)) {
-      slot.from = from.value;
-      slot.payload_hash = ph;
-      slot.mac = mac;
-      slot.busy.store(0, std::memory_order_release);
-    }
-  }
-  return ok;
+  return hmac(from, data) == mac;
 }
 
 }  // namespace byzcast

@@ -2,7 +2,16 @@
 
 #include <cstring>
 
+#include "common/sha256_compress.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define BZC_SHA256_X86 1
+#endif
+
 namespace byzcast {
+
+namespace sha256_detail {
 
 namespace {
 
@@ -25,6 +34,132 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
+void compress_portable(State& state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (std::size_t i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (std::size_t i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    auto [a, b, c, d, e, f, g, h] = state;
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef BZC_SHA256_X86
+
+// The SHA-NI rounds keep the state as two registers, ABEF and CDGH, and
+// take the message schedule four words at a time: group G[r] (r >= 4) is
+// msg2(msg1(G[r-4], G[r-3]) + (G[r-2]:G[r-1] shifted by one word), G[r-1]).
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    State& state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int r = 0; r < 16; ++r) {
+      __m128i& cur = w[r & 3];
+      if (r < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * r)),
+            byte_swap);
+      } else {
+        const __m128i prev = w[(r + 3) & 3];
+        __m128i t = _mm_sha256msg1_epu32(cur, w[(r + 1) & 3]);
+        t = _mm_add_epi32(t, _mm_alignr_epi8(prev, w[(r + 2) & 3], 4));
+        cur = _mm_sha256msg2_epu32(t, prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(
+                   reinterpret_cast<const __m128i*>(&kRoundConstants[4 * r])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), hgfe);
+}
+
+bool shani_supported() {
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#else
+
+void compress_shani(State& state, const std::uint8_t* data,
+                    std::size_t blocks) {
+  compress_portable(state, data, blocks);
+}
+
+bool shani_supported() { return false; }
+
+#endif
+
+}  // namespace sha256_detail
+
+namespace {
+
+void compress(sha256_detail::State& state, const std::uint8_t* data,
+              std::size_t blocks) {
+  static const sha256_detail::CompressFn chosen =
+      sha256_detail::shani_supported() ? sha256_detail::compress_shani
+                                       : sha256_detail::compress_portable;
+  chosen(state, data, blocks);
+}
+
+}  // namespace
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
@@ -39,13 +174,14 @@ void Sha256::update(BytesView data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == 64) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(state_, data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -55,16 +191,17 @@ void Sha256::update(BytesView data) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(BytesView(&zero, 1));
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    compress(state_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  update(BytesView(len_bytes.data(), len_bytes.size()));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  }
+  compress(state_, buffer_.data(), 1);
 
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -80,49 +217,6 @@ Digest Sha256::hash(BytesView data) {
   Sha256 ctx;
   ctx.update(data);
   return ctx.finish();
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (std::size_t i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (std::size_t i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 std::string to_hex(const Digest& d) {

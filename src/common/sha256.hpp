@@ -1,6 +1,9 @@
 // SHA-256 (FIPS 180-4). The simulation uses real digests so that message ids
-// are collision-resistant and Byzantine fabrication tests are meaningful; we
-// implement it here because the environment provides no crypto library.
+// are collision-resistant and Byzantine fabrication tests are meaningful. The
+// code stays in the tree rather than coming from a crypto library so that
+// the library (and the stand-alone perfbench build over src/) links nothing
+// beyond threads; the x86 SHA extensions, picked at run time, make it about
+// as fast as a library would be.
 #pragma once
 
 #include <array>
@@ -19,14 +22,13 @@ class Sha256 {
 
   void update(BytesView data);
   /// Finalizes and returns the digest; the context must not be reused.
+  /// Copy the context first to finish from a shared prefix (HmacKey).
   [[nodiscard]] Digest finish();
 
   /// One-shot convenience.
   [[nodiscard]] static Digest hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_bytes_ = 0;

@@ -13,8 +13,7 @@ NetEnv::NetEnv(NetEnvOptions opts)
       // process loading the same seed.
       keys_(std::make_shared<KeyStore>(
           opts.seed ^ 0xb7e151628aed2a6aULL,
-          opts.profile.fast_macs ? MacMode::kFast : MacMode::kHmac,
-          /*verify_memo=*/!opts.profile.mac_memo_off)),
+          opts.profile.fast_macs ? MacMode::kFast : MacMode::kHmac)),
       master_rng_(opts.seed) {
   transport_.set_handler(
       [this](sim::WireMessage msg) { deliver_local(std::move(msg)); });

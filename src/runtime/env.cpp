@@ -13,8 +13,7 @@ RuntimeEnv::RuntimeEnv(RuntimeOptions opts)
       network_(executor_, wheel_, opts.net_delay),
       keys_(std::make_shared<KeyStore>(
           opts.seed ^ 0xb7e151628aed2a6aULL,
-          opts.profile.fast_macs ? MacMode::kFast : MacMode::kHmac,
-          /*verify_memo=*/!opts.profile.mac_memo_off)),
+          opts.profile.fast_macs ? MacMode::kFast : MacMode::kHmac)),
       master_rng_(opts.seed) {
   const std::uint32_t vw = opts_.profile.effective_verify_workers();
   const std::uint32_t es = opts_.profile.effective_exec_shards();

@@ -66,11 +66,8 @@ class Actor {
   /// Cumulative CPU time this actor has been busy (service + declared extra
   /// work). Samplers diff successive readings to get a busy fraction.
   [[nodiscard]] Time busy_time() const { return busy_total_; }
-  /// MAC verifications this actor answered from the Authenticator memo
-  /// (always 0 under fast MACs or the mac_memo_off ablation).
-  [[nodiscard]] std::uint64_t mac_memo_hits() const {
-    return auth_.verify_cache_hits();
-  }
+  /// Always 0 (the verify memo is gone); perfbench/src/backends.cpp calls it.
+  [[nodiscard]] std::uint64_t mac_memo_hits() const { return 0; }
 
  protected:
   /// Handles one message, after its service time elapsed. The MAC has NOT

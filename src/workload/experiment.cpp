@@ -181,7 +181,6 @@ void export_replica_counters(MetricsRegistry& reg, bft::Group& grp,
     const std::string label = replica_label(grp.id(), i);
     reg.counter("replica.executed." + label).inc(rep.executed_requests());
     reg.counter("replica.decided." + label).inc(rep.decided_instances());
-    reg.counter("replica.mac_memo_hits." + label).inc(rep.mac_memo_hits());
     reg.gauge("replica.cpu_busy_mean." + label)
         .set(static_cast<double>(rep.busy_time()) /
              static_cast<double>(horizon));
@@ -213,10 +212,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const bool wan = config.environment == Environment::kWan;
   sim::Profile profile = wan ? sim::Profile::wan() : sim::Profile::lan();
   // Identical simulated behaviour, much cheaper host-side authentication
-  // for the large sweeps (see Profile::fast_macs). The MAC ablation pair
-  // needs real HMACs: the verification memo never engages under fast MACs.
-  profile.fast_macs = !(config.real_macs || config.mac_memo_off);
-  profile.mac_memo_off = config.mac_memo_off;
+  // for the large sweeps (see Profile::fast_macs).
+  profile.fast_macs = !config.real_macs;
   profile.zero_copy_off = config.zero_copy_off;
   profile.batch_adapt_off = config.batch_adapt_off;
   if (config.pipeline_depth > 0) profile.pipeline_depth = config.pipeline_depth;

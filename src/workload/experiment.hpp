@@ -98,14 +98,8 @@ struct ExperimentConfig {
   /// Deep-copy every send payload and charge the memcpy as CPU — undoes the
   /// ref-counted zero-copy fan-out optimization.
   bool zero_copy_off = false;
-  /// Disable the MAC verification memo. Implies `real_macs`: the memo is a
-  /// host/CPU-side optimization that only exists under real HMACs, so the
-  /// meaningful comparison pair is (real_macs, mac_memo_off) vs
-  /// (real_macs, memo on) — not against the default fast-MAC runs.
-  bool mac_memo_off = false;
   /// Run with real HMAC-SHA256 MACs instead of the sweep-friendly fast
-  /// mode. Automatically set by `mac_memo_off`; set it alone to get the
-  /// memo-ON companion curve of the MAC ablation pair.
+  /// mode. Simulated results are the same either way; only host time moves.
   bool real_macs = false;
   /// Force consensus pipeline depth 1 (sequential instances) — undoes the
   /// pipelining of PR 6 regardless of the preset / pipeline_depth override.

@@ -44,8 +44,6 @@ bool parse_pattern(const std::string& s, Pattern* out, std::string* error) {
 
 bool apply_ablation(ExperimentConfig& config, const std::string& name) {
   if (name == "zero_copy_off") config.zero_copy_off = true;
-  else if (name == "mac_memo_off") config.mac_memo_off = true;
-  else if (name == "mac_memo_on") config.real_macs = true;
   else if (name == "pipeline_off") config.pipeline_off = true;
   else if (name == "batch_adapt_off") config.batch_adapt_off = true;
   else if (name == "stage_pipeline_off") config.stage_pipeline_off = true;

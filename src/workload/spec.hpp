@@ -42,16 +42,14 @@ struct WorkloadSpec {
   /// open_loop_total_rate is filled in per run.
   ExperimentConfig base;
   RateSchedule schedule;
-  /// Ablation names ("zero_copy_off", "mac_memo_off", "mac_memo_on",
-  /// "pipeline_off", "batch_adapt_off"). Sweep mode runs one extra curve
-  /// per entry next to the baseline; fixed/step mode applies them all to
-  /// the single configuration.
+  /// Ablation names ("zero_copy_off", "pipeline_off", "batch_adapt_off",
+  /// "stage_pipeline_off"). Sweep mode runs one extra curve per entry next
+  /// to the baseline; fixed/step mode applies them all to the single
+  /// configuration.
   std::vector<std::string> ablations;
 };
 
 /// Applies one named ablation to `config`; false if the name is unknown.
-/// "mac_memo_on" is the memo-ON companion of the MAC pair (real HMACs,
-/// memo enabled) — see ExperimentConfig::real_macs.
 bool apply_ablation(ExperimentConfig& config, const std::string& name);
 
 /// Parses a spec document. Returns nullopt and fills `error` on unknown

@@ -171,16 +171,7 @@ TEST(WorkloadSpec, ApplyAblationSetsExactlyTheNamedSwitch) {
   ExperimentConfig cfg;
   EXPECT_TRUE(apply_ablation(cfg, "zero_copy_off"));
   EXPECT_TRUE(cfg.zero_copy_off);
-  EXPECT_FALSE(cfg.mac_memo_off);
-
-  cfg = ExperimentConfig{};
-  EXPECT_TRUE(apply_ablation(cfg, "mac_memo_off"));
-  EXPECT_TRUE(cfg.mac_memo_off);
-
-  cfg = ExperimentConfig{};
-  EXPECT_TRUE(apply_ablation(cfg, "mac_memo_on"));
-  EXPECT_TRUE(cfg.real_macs);  // the memo-ON companion of the MAC pair
-  EXPECT_FALSE(cfg.mac_memo_off);
+  EXPECT_FALSE(cfg.pipeline_off);
 
   cfg = ExperimentConfig{};
   EXPECT_TRUE(apply_ablation(cfg, "pipeline_off"));
@@ -196,6 +187,9 @@ TEST(WorkloadSpec, ApplyAblationSetsExactlyTheNamedSwitch) {
 
   cfg = ExperimentConfig{};
   EXPECT_FALSE(apply_ablation(cfg, "warp_drive_off"));
+  // The MAC verify memo and its ablation pair are gone.
+  EXPECT_FALSE(apply_ablation(cfg, "mac_memo_off"));
+  EXPECT_FALSE(apply_ablation(cfg, "mac_memo_on"));
 }
 
 TEST(WorkloadSpec, LoadsCheckedInSpecFiles) {
