@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the building blocks: crypto, codec,
-// scheduler, tree operations, the optimizer search, and the zero-copy wire
-// fabric (shared-Buffer fan-out, encode-once batch digests). These quantify
+// scheduler, tree operations, the optimizer search, the zero-copy wire
+// fabric (shared-Buffer fan-out, encode-once batch digests) and one replica
+// order step (admit -> decide -> execute in a live group). These quantify
 // host per-message costs; the simulation's CPU constants stay anchored to
 // the paper's testbed (sim/profile.hpp).
 //
@@ -302,6 +303,74 @@ void BM_ProposeEncodeShared(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProposeEncodeShared);
+
+// ---------------------------------------------------------------------------
+// One replica order step: admit -> decide -> execute in a live group.
+
+/// Open-loop client: sends pre-encoded requests to every replica at once.
+class BurstClient final : public sim::Actor {
+ public:
+  BurstClient(sim::Simulation& sim, bft::GroupInfo group)
+      : Actor(sim, "burst"), group_(std::move(group)) {}
+
+  void burst(int count) {
+    for (int i = 0; i < count; ++i) {
+      bft::Request req;
+      req.group = group_.id;
+      req.origin = id();
+      req.seq = static_cast<std::uint64_t>(i);
+      req.op = Bytes(64, static_cast<std::uint8_t>(i));
+      const Buffer encoded{bft::encode_request(req)};
+      for (const ProcessId r : group_.replicas()) send(r, encoded);
+    }
+  }
+
+ protected:
+  void on_message(const sim::WireMessage&) override {}
+
+ private:
+  bft::GroupInfo group_;
+};
+
+/// Host time per request ordered by one 4-replica LAN group (f=1): every
+/// replica admits it, the group decides it in a batch, every replica
+/// executes it (EchoApplication), group teardown included. Four clients
+/// each send range(0)/4 requests at time zero. The simulated network and
+/// CPU model run too, so this is the order step as the simulator pays for
+/// it, not the replica code alone.
+void BM_GroupOrderStep(benchmark::State& state) {
+  constexpr int kClients = 4;
+  const int per_client = static_cast<int>(state.range(0)) / kClients;
+  const auto total = static_cast<std::uint64_t>(per_client * kClients);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = std::make_unique<sim::Simulation>(7, sim::Profile::lan());
+    auto group = std::make_unique<bft::Group>(*sim, GroupId{0}, 1, [](int) {
+      return std::make_unique<bft::EchoApplication>();
+    });
+    std::vector<std::unique_ptr<BurstClient>> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.push_back(std::make_unique<BurstClient>(*sim, group->info()));
+      clients.back()->burst(per_client);
+    }
+    state.ResumeTiming();
+    sim->run_until(20 * kSecond);
+    for (int i = 0; i < 4; ++i) {
+      if (group->replica(i).executed_requests() != total) {
+        state.SkipWithError("group did not execute every request");
+      }
+    }
+    clients.clear();
+    group.reset();
+    sim.reset();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(total));
+}
+BENCHMARK(BM_GroupOrderStep)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Existing infrastructure benchmarks.

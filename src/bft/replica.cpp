@@ -31,8 +31,11 @@ Replica::Replica(sim::ExecutionEnv& env, GroupId group, int f, int index,
 }
 
 /// Encodes the replica-local durable state carried by checkpoints and state
-/// transfer: application snapshot + delivery bookkeeping + membership (so a
-/// standby that restores a post-reconfiguration snapshot learns it joined).
+/// transfer: application snapshot + delivery bookkeeping (FIFO watermarks and
+/// the decided requests held back behind a gap) + membership (so a standby
+/// that restores a post-reconfiguration snapshot learns it joined). Every
+/// part is in canonical order, so correct replicas at the same instance
+/// produce identical bytes and f+1 snapshots match.
 Bytes Replica::make_snapshot() const {
   Writer w;
   w.bytes(app_->snapshot());
@@ -46,6 +49,14 @@ Bytes Replica::make_snapshot() const {
     w.process_id(pid);
     w.u64(seq);
   }
+  std::vector<const Request*> held;
+  for (const auto& [pid, hb] : holdback_) {
+    for (const auto& [seq, req] : hb) held.push_back(&req);
+  }
+  std::sort(held.begin(), held.end(), [](const Request* a, const Request* b) {
+    return a->id() < b->id();
+  });
+  w.vec(held, [](Writer& ww, const Request* req) { req->encode(ww); });
   w.vec(info_.replicas(), [](Writer& ww, ProcessId p) { ww.process_id(p); });
   return w.take();
 }
@@ -64,6 +75,21 @@ void Replica::restore_snapshot(BytesView snapshot) {
   for (std::uint32_t i = 0; i < n; ++i) {
     const ProcessId pid = sr.process_id();
     fifo_next_[pid] = sr.u64();
+  }
+  for (Request& req :
+       sr.vec<Request>([](Reader& rr) { return Request::decode(rr); })) {
+    const std::uint64_t seq = req.seq;
+    holdback_[req.origin].emplace(seq, std::move(req));
+  }
+  // Requests decided in the instances the snapshot covers never pass
+  // decide() here; drop their admission state like decide() would.
+  for (auto it = pending_since_.begin(); it != pending_since_.end();) {
+    if (!already_decided(it->first)) {
+      ++it;
+      continue;
+    }
+    if (!it->second.inflight) pending_.erase(it->second.ticket);
+    it = pending_since_.erase(it);
   }
   info_.set_replicas(
       sr.vec<ProcessId>([](Reader& rr) { return rr.process_id(); }));
@@ -264,18 +290,27 @@ void Replica::handle_request(const sim::WireMessage& msg, Reader& r) {
 
 void Replica::admit_request(Request req, const sim::WireMessage* wire) {
   const MessageId rid = req.id();
-  if (decided_requests_.contains(rid) || pending_since_.contains(rid)) return;
+  if (pending_since_.contains(rid) || already_decided(rid)) return;
   AdmitInfo info;
-  info.suspicion = now();
   info.admitted = now();
+  info.ticket = back_ticket_++;
   if (wire != nullptr) {
     info.wire_sent = wire->sent_at;
     info.wire_enqueued = wire->enqueued_at;
     info.wire_svc_start = wire->svc_start;
   }
   pending_since_.emplace(rid, info);
-  pending_.push_back(std::move(req));
+  pending_.emplace_hint(pending_.end(), info.ticket, std::move(req));
   maybe_start_consensus();
+}
+
+bool Replica::already_decided(const MessageId& rid) const {
+  // Every decided request passes deliver_fifo: it either executed, which
+  // raised its origin's watermark past it, or waits in the hold-back.
+  const auto next = fifo_next_.find(rid.origin);
+  if (next != fifo_next_.end() && rid.seq < next->second) return true;
+  const auto held = holdback_.find(rid.origin);
+  return held != holdback_.end() && held->second.contains(rid.seq);
 }
 
 std::uint64_t Replica::pipeline_depth() const {
@@ -374,12 +409,12 @@ Batch Replica::cut_batch() {
   Batch batch;
   batch.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
-    Request& req = pending_.front();
-    const auto it = pending_since_.find(req.id());
+    const auto front = pending_.begin();
+    const auto it = pending_since_.find(front->second.id());
     if (it != pending_since_.end()) it->second.inflight = true;
     // Moving the Request shares the ref-counted payload; no byte copy.
-    batch.push_back(std::move(req));
-    pending_.pop_front();
+    batch.push_back(std::move(front->second));
+    pending_.erase(front);
   }
   return batch;
 }
@@ -578,18 +613,15 @@ void Replica::decide(Batch batch, Time proposed_at, Time write_quorum_at) {
                        static_cast<std::int64_t>(next_instance_ - 1)});
   }
 
-  std::unordered_set<MessageId> in_batch;
-  in_batch.reserve(batch.size());
+  progress_at_ = now();
   for (const auto& req : batch) {
     const MessageId rid = req.id();
-    in_batch.insert(rid);
-    decided_requests_.insert(rid);
+    const auto ait = pending_since_.find(rid);
     if (spans != nullptr) {
       // Freeze this request's pipeline timing now: execution may be held
       // back by the per-origin FIFO until a later decide, but its stages
       // belong to this instance.
       ExecTiming t;
-      const auto ait = pending_since_.find(rid);
       if (ait != pending_since_.end()) {
         t.wire_sent = ait->second.wire_sent;
         t.wire_enqueued = ait->second.wire_enqueued;
@@ -601,16 +633,12 @@ void Replica::decide(Batch batch, Time proposed_at, Time write_quorum_at) {
       t.decided = now();
       exec_info_.insert_or_assign(rid, t);
     }
-    pending_since_.erase(rid);
+    if (ait != pending_since_.end()) {
+      // Only requests not cut into one of our own proposals are queued.
+      if (!ait->second.inflight) pending_.erase(ait->second.ticket);
+      pending_since_.erase(ait);
+    }
   }
-  std::erase_if(pending_,
-                [&in_batch](const Request& req) {
-                  return in_batch.contains(req.id());
-                });
-  // Progress resets suspicion: requests still pending restart their clock,
-  // so a busy-but-live leader is not suspected merely because the queue is
-  // longer than the timeout.
-  for (auto& [rid, info] : pending_since_) info.suspicion = now();
 
   // Garbage-collect votes below the decided frontier.
   while (!votes_.empty() && votes_.begin()->first.instance < next_instance_) {
@@ -844,8 +872,10 @@ void Replica::on_liveness_check() {
     if (pending_since_.empty()) return;
     Time oldest = now();
     for (const auto& [rid, info] : pending_since_) {
-      oldest = std::min(oldest, info.suspicion);
+      oldest = std::min(oldest, info.admitted);
     }
+    // Progress restarted every pending request's clock (progress_at_).
+    oldest = std::max(oldest, progress_at_);
     if (now() - oldest > timeout) request_view_change(view_ + 1);
   } else {
     // Stuck synchronization phase (e.g. the new leader is also faulty).
@@ -928,19 +958,24 @@ void Replica::install_view(std::uint64_t next_view) {
   // are re-queued at the front of pending_, in instance order, so the new
   // view can re-propose them; requests the new leader recovers via STOPDATA
   // anyway are deduplicated at decide time.
-  Batch requeue;
+  std::vector<std::pair<AdmitInfo*, Request*>> requeue;
   for (auto& [instance, oc] : open_) {
     if (!oc.proposal) continue;
     for (auto& req : *oc.proposal) {
       const auto pit = pending_since_.find(req.id());
       if (pit != pending_since_.end() && pit->second.inflight) {
         pit->second.inflight = false;
-        requeue.push_back(std::move(req));
+        requeue.emplace_back(&pit->second, &req);
       }
     }
   }
-  pending_.insert(pending_.begin(), std::make_move_iterator(requeue.begin()),
-                  std::make_move_iterator(requeue.end()));
+  front_ticket_ -= static_cast<std::int64_t>(requeue.size());
+  std::int64_t ticket = front_ticket_;
+  const auto old_front = pending_.begin();
+  for (auto& [info, req] : requeue) {
+    info->ticket = ticket++;
+    pending_.emplace_hint(old_front, info->ticket, std::move(*req));
+  }
   open_.clear();
 
   const ProcessId leader = leader_of(next_view);

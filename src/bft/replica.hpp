@@ -19,7 +19,7 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -158,6 +158,13 @@ class Replica final : public sim::Actor, public ReplicaContext {
   [[nodiscard]] std::size_t max_decided_batch() const {
     return max_decided_batch_;
   }
+  /// Requests admitted here and not yet decided (tests: per-request state
+  /// lives only while a request is in flight).
+  [[nodiscard]] std::size_t undecided_requests() const {
+    return pending_since_.size();
+  }
+  /// Of those, the ones queued for this replica's next proposals.
+  [[nodiscard]] std::size_t queued_requests() const { return pending_.size(); }
 
  protected:
   void on_message(const sim::WireMessage& msg) override;
@@ -193,15 +200,15 @@ class Replica final : public sim::Actor, public ReplicaContext {
     Time write_quorum_at = -1;  // 2f+1 WRITEs seen
   };
 
-  /// Per-pending-request bookkeeping. `suspicion` drives leader suspicion
-  /// and is reset whenever the group makes progress (a busy-but-live leader
-  /// is not suspected for a long queue); `admitted` and the wire times are
-  /// immutable admission facts kept for span tracing. `inflight` marks
-  /// requests this replica cut into one of its own open proposals (they left
-  /// pending_ and must be re-queued if the view changes before they decide).
+  /// Per-pending-request bookkeeping, dropped when the request decides.
+  /// `admitted` drives leader suspicion (together with progress_at_) and,
+  /// with the wire times, span tracing. `ticket` is the request's position
+  /// in pending_. `inflight` marks requests this replica cut into one of its
+  /// own open proposals (they left pending_ and must be re-queued if the
+  /// view changes before they decide).
   struct AdmitInfo {
-    Time suspicion = 0;
     Time admitted = 0;
+    std::int64_t ticket = 0;
     Time wire_sent = -1;
     Time wire_enqueued = -1;
     Time wire_svc_start = -1;
@@ -238,6 +245,9 @@ class Replica final : public sim::Actor, public ReplicaContext {
   void handle_state_response(const sim::WireMessage& msg, Reader& r);
 
   void admit_request(Request req, const sim::WireMessage* wire = nullptr);
+  /// True iff `rid` was decided here: executed (below its origin's FIFO
+  /// watermark) or decided and held back behind a gap.
+  [[nodiscard]] bool already_decided(const MessageId& rid) const;
   void maybe_start_consensus();
   void do_propose();
   /// Moves up to batch_max front entries of pending_ into a batch, marking
@@ -317,10 +327,19 @@ class Replica final : public sim::Actor, public ReplicaContext {
   bool advancing_ = false;          // re-entrancy guard for advance_decided
   std::map<VoteKey, std::set<ProcessId>> votes_;
   /// Requests admitted but not yet cut into one of our own proposals (on
-  /// followers: all admitted, undecided requests).
-  std::deque<Request> pending_;
+  /// followers: all admitted, undecided requests), keyed by AdmitInfo's
+  /// ticket so that iteration is queue order and a decided request leaves in
+  /// O(log n). Admission takes tickets from back_ticket_ upwards; a view
+  /// change re-queues at the front with tickets below front_ticket_.
+  std::map<std::int64_t, Request> pending_;
+  std::int64_t front_ticket_ = 0;  // every queued ticket is >= this
+  std::int64_t back_ticket_ = 0;   // every queued ticket is < this
   std::unordered_map<MessageId, AdmitInfo> pending_since_;
-  std::unordered_set<MessageId> decided_requests_;
+  /// When the group last decided an instance here. Progress restarts the
+  /// suspicion clock of every pending request: a request counts as waiting
+  /// since max(admitted, progress_at_), so a busy-but-live leader is not
+  /// suspected merely because the queue is longer than the timeout.
+  Time progress_at_ = std::numeric_limits<Time>::min();
   std::size_t pipeline_high_water_ = 0;
   std::size_t max_decided_batch_ = 0;
 

@@ -1,6 +1,8 @@
 #include "common/auth.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/hmac.hpp"
 #include "common/serde.hpp"
@@ -9,16 +11,42 @@ namespace byzcast {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t hash, BytesView data) {
-  for (const auto byte : data) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
+constexpr std::uint64_t kMul = 0x100000001b3ULL;  // the FNV-1a prime
+
+/// Little-endian load of 8 bytes (one instruction on common hosts).
+std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+/// Mixes `data` into `hash` one 8-byte word per step, the zero-padded tail
+/// last. The length is folded in first, so inputs differing only by
+/// trailing zero bytes differ. Each step is a bijection of the state for a
+/// fixed word, so inputs of equal length differing in one word never
+/// collide.
+std::uint64_t mix_words(std::uint64_t hash, BytesView data) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  hash = (hash ^ n) * kMul;
+  for (; n >= 8; p += 8, n -= 8) {
+    hash = (hash ^ load_word(p)) * kMul;
+    hash ^= hash >> 32;
+  }
+  if (n > 0) {
+    std::uint8_t tail[8] = {};
+    std::memcpy(tail, p, n);
+    hash = (hash ^ load_word(tail)) * kMul;
+    hash ^= hash >> 32;
   }
   return hash;
 }
 
 Digest fast_mac(std::uint64_t key64, BytesView data) {
-  std::uint64_t h = fnv1a(key64 ^ 0xcbf29ce484222325ULL, data);
+  std::uint64_t h = mix_words(key64 ^ 0xcbf29ce484222325ULL, data);
   // Final avalanche (splitmix64 finalizer).
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;

@@ -142,7 +142,9 @@ bft::StagedExec ByzCastNode::execute_staged(const bft::Request& req) {
 
 void ByzCastNode::handle(const MulticastMessage& m, const Buffer& raw_op,
                          Time first_seen) {
-  handled_.insert(m.id);
+  // Both callers return early for handled ids: m is new here.
+  const bool fresh = handled_.insert(m.id).second;
+  BZC_ASSERT(fresh);
   // Any copies counted before the threshold (or before a direct-path
   // handle) are no longer needed: late duplicates take the handled_ fast
   // path and never re-open the entry.
@@ -177,8 +179,8 @@ void ByzCastNode::handle(const MulticastMessage& m, const Buffer& raw_op,
   const GroupId my_group = ctx_->group();
   const bool is_destination =
       std::find(m.dst.begin(), m.dst.end(), my_group) != m.dst.end();
-  if (is_destination && !a_delivered_.contains(m.id)) {
-    a_delivered_.insert(m.id);
+  if (is_destination) {
+    ++a_delivered_count_;
     log_.record(my_group, ctx_->self(), m.id, ctx_->now());
     if (obs_.spans != nullptr && m.traced()) {
       obs_.spans->record(Span{m.id, SpanKind::kADeliver, my_group,

@@ -79,7 +79,7 @@ class ByzCastNode final : public bft::Application {
 
   [[nodiscard]] std::uint64_t handled_count() const { return handled_.size(); }
   [[nodiscard]] std::uint64_t a_delivered_count() const {
-    return a_delivered_.size();
+    return a_delivered_count_;
   }
   /// Messages still accumulating parent copies (bounded: handled ids are
   /// dropped immediately and stale ids are swept after `pending_expiry`).
@@ -129,8 +129,10 @@ class ByzCastNode final : public bft::Application {
     Time first_seen = 0;
   };
   std::unordered_map<MessageId, PendingCopies> copies_;
+  /// Every message handled here. Each is handled once, so a-delivery needs
+  /// no id set of its own: a_delivered_count_ only counts.
   std::unordered_set<MessageId> handled_;
-  std::unordered_set<MessageId> a_delivered_;
+  std::uint64_t a_delivered_count_ = 0;
   Time pending_expiry_ = 60 * kSecond;
   Time last_sweep_ = 0;
 

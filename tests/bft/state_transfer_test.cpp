@@ -6,12 +6,14 @@
 #include "bft/client_proxy.hpp"
 #include "bft/group.hpp"
 #include "sim/simulation.hpp"
+#include "support/raw_client.hpp"
 #include "support/recording_app.hpp"
 
 namespace byzcast::bft {
 namespace {
 
 using ::byzcast::testing::ExecutionTrace;
+using ::byzcast::testing::RawClient;
 using ::byzcast::testing::recording_factory;
 
 struct PartitionHarness {
@@ -99,6 +101,74 @@ TEST(StateTransfer, IsolatedLeaderDeposedThenCatchesUp) {
   // After healing, the old leader converges on the same history.
   EXPECT_EQ(h.group.replica(0).history_digest(),
             h.group.replica(1).history_digest());
+}
+
+/// Drives replica 3 into restoring a checkpoint that holds a decided
+/// request back behind a FIFO gap: client x's seq 1 decides in instance 0,
+/// three filler requests decide in instances 1-3 (checkpoint at 4, taken
+/// while x:1 waits for x:0), and x's seq 0 decides in instance 4, the log
+/// tail above the checkpoint. Replica 3 is cut off from its peers until
+/// all five have decided, then catches up from the snapshot plus that tail.
+struct HeldBackCheckpoint {
+  HeldBackCheckpoint() {
+    h.isolate_replica(3, /*heal_at=*/8 * kSecond);
+    x.send_seq(1);
+    h.sim.run_until(1 * kSecond);
+    ClientProxy filler(h.sim, h.group.info(), "filler");
+    int done = 0;
+    std::function<void()> issue = [&] {
+      if (done == 3) return;
+      filler.invoke(to_bytes("fill"), [&](const Bytes&, Time) {
+        ++done;
+        issue();
+      });
+    };
+    issue();
+    h.sim.run_until(4 * kSecond);
+    EXPECT_EQ(done, 3);
+    x.send_seq(0);
+    h.sim.run_until(40 * kSecond);
+  }
+
+  PartitionHarness h{/*checkpoint_period=*/4};
+  RawClient x{h.sim, h.group.info(), "x"};
+};
+
+TEST(StateTransfer, SnapshotCarriesHeldBackRequests) {
+  HeldBackCheckpoint run;
+  const Replica& peer = run.h.group.replica(0);
+  const Replica& laggard = run.h.group.replica(3);
+  ASSERT_EQ(peer.decided_instances(), 5u);
+  ASSERT_EQ(peer.counters().checkpoints_taken, 1u);
+  ASSERT_EQ(peer.executed_requests(), 5u);
+  // The laggard went through the snapshot: it executed only the tail
+  // (x:0, then x:1 released from the restored hold-back).
+  ASSERT_GE(laggard.counters().state_transfers, 1u);
+  EXPECT_LT(run.h.traces[3].size(), run.h.traces[0].size());
+  EXPECT_EQ(laggard.decided_instances(), peer.decided_instances());
+  EXPECT_EQ(laggard.executed_requests(), peer.executed_requests());
+  EXPECT_EQ(laggard.history_digest(), peer.history_digest());
+}
+
+TEST(StateTransfer, ReplayOfRestoredRequestIsRejected) {
+  HeldBackCheckpoint run;
+  const Replica& laggard = run.h.group.replica(3);
+  ASSERT_EQ(laggard.decided_instances(), 5u);
+  // Everything the laggard admitted while cut off is decided by now, part
+  // of it inside the restored snapshot: no admission state is left over.
+  EXPECT_EQ(laggard.undecided_requests(), 0u);
+  EXPECT_EQ(laggard.queued_requests(), 0u);
+
+  // x:1 decided in instance 0, which the laggard never ran itself.
+  run.x.send_seq(1);
+  run.h.sim.run_until(run.h.sim.now() + 10 * kSecond);
+  for (int i = 0; i < 4; ++i) {
+    const Replica& r = run.h.group.replica(i);
+    EXPECT_EQ(r.undecided_requests(), 0u) << "replica " << i;
+    EXPECT_EQ(r.decided_instances(), 5u) << "replica " << i;
+    EXPECT_EQ(r.executed_requests(), 5u) << "replica " << i;
+    EXPECT_EQ(r.view(), 0u) << "replica " << i;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/bytes.hpp"
 
 namespace byzcast {
@@ -85,6 +87,67 @@ TEST_F(AuthTest, KeysAndMacsArePinned) {
             "981f3c83c17ac698692fa288609733eabff3f66c71687cf7b061b2dc59f27b4e");
   EXPECT_EQ(to_hex(a.sign(ProcessId{5000}, msg)),
             "95b8a5c50aeeac2bab9ed53ed2c8ca98f661fe59e4026070d62f2e4327a68c48");
+}
+
+class FastMacTest : public ::testing::Test {
+ protected:
+  std::shared_ptr<KeyStore> keys =
+      std::make_shared<KeyStore>(777, MacMode::kFast);
+  ProcessId alice{1};
+  ProcessId bob{2};
+  ProcessId mallory{3};
+};
+
+Bytes pattern(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(0x30 + 7 * i);
+  }
+  return b;
+}
+
+TEST_F(FastMacTest, SignVerifyRoundTrip) {
+  // Lengths cover an empty input, every tail length and several words.
+  Authenticator a(keys, alice);
+  Authenticator b(keys, bob);
+  Authenticator m(keys, mallory);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    const Bytes msg = pattern(n);
+    const Digest mac = a.sign(bob, msg);
+    EXPECT_TRUE(b.verify(alice, msg, mac)) << "length " << n;
+    EXPECT_FALSE(m.verify(alice, msg, mac)) << "length " << n;
+  }
+}
+
+TEST_F(FastMacTest, FlippedBodyOrTailByteRejected) {
+  // 21 bytes: two full words, then a 5-byte tail.
+  Authenticator a(keys, alice);
+  Authenticator b(keys, bob);
+  const Bytes msg = pattern(21);
+  const Digest mac = a.sign(bob, msg);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    for (const std::uint8_t bit : {0x01, 0x80}) {
+      Bytes flipped = msg;
+      flipped[i] ^= bit;
+      EXPECT_FALSE(b.verify(alice, flipped, mac))
+          << "byte " << i << " bit " << int{bit};
+    }
+  }
+}
+
+TEST_F(FastMacTest, TrailingZeroBytesDoNotCollide) {
+  // The tail is zero-padded; the folded-in length keeps "x" and "x\0"
+  // apart, across the word boundary too.
+  Authenticator a(keys, alice);
+  for (const std::size_t base : {0u, 3u, 8u, 13u}) {
+    std::set<Digest> macs;
+    Bytes msg = pattern(base);
+    for (int extra = 0; extra <= 9; ++extra) {
+      EXPECT_TRUE(macs.insert(a.sign(bob, msg)).second)
+          << base << " bytes + " << extra << " zero bytes";
+      msg.push_back(0);
+    }
+  }
 }
 
 }  // namespace

@@ -64,6 +64,33 @@ TEST(System, NodeAccessorReturnsTheHostedApplication) {
   EXPECT_EQ(node.a_delivered_count(), 0u);
 }
 
+TEST(System, NodeCountsEachADeliveryOnce) {
+  // A node keeps no a-delivered id set: its count must still match the
+  // delivery log, with the entry group handling (but not a-delivering)
+  // global messages.
+  sim::Simulation sim(7, sim::Profile::lan());
+  ByzCastSystem system(
+      sim, OverlayTree::two_level({GroupId{0}, GroupId{1}}, GroupId{50}), 1);
+  auto client = system.make_client("c");
+  int done = 0;
+  const auto count = [&](const MulticastMessage&, Time) { ++done; };
+  client->a_multicast({GroupId{0}, GroupId{1}}, to_bytes("global"), count);
+  client->a_multicast({GroupId{0}}, to_bytes("local"), count);
+  sim.run_until(20 * kSecond);
+  ASSERT_EQ(done, 2);
+
+  const ByzCastNode& target = system.node(GroupId{0}, 2);
+  const ProcessId replica =
+      system.registry().at(GroupId{0}).replicas()[2];
+  EXPECT_EQ(target.a_delivered_count(), 2u);
+  EXPECT_EQ(target.a_delivered_count(),
+            system.delivery_log().sequence(replica).size());
+  EXPECT_EQ(target.handled_count(), 2u);
+  const ByzCastNode& root = system.node(GroupId{50}, 2);
+  EXPECT_EQ(root.handled_count(), 1u);
+  EXPECT_EQ(root.a_delivered_count(), 0u);
+}
+
 TEST(System, ClientsGetFreshIds) {
   sim::Simulation sim(5, sim::Profile::lan());
   ByzCastSystem system(
