@@ -12,22 +12,19 @@
 // and the verdict of the five atomic-multicast property checkers per run (a
 // throughput figure from a run that broke ordering would be meaningless).
 // Exits nonzero on any incomplete workload or property violation.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "core/multicast.hpp"
 #include "core/properties.hpp"
 #include "net/cluster.hpp"
 #include "net/config.hpp"
 #include "runtime/parallel_system.hpp"
+#include "workload/driver.hpp"
 #include "workload/report.hpp"
 
 namespace {
@@ -79,13 +76,36 @@ net::ClusterConfig cluster_config() {
   return *cfg;
 }
 
-std::vector<GroupId> pick_dst(Rng& rng) {
-  if (rng.next_bool(kGlobalFraction)) {
-    const auto a = static_cast<std::int32_t>(rng.next_below(3));
-    const auto b = static_cast<std::int32_t>(rng.next_below(2));
-    return {GroupId{a}, GroupId{b < a ? b : b + 1}};
+/// Completion count, rate and latency of one column, from its driver.
+void fill_client_side(BackendResult& r, workload::ClientDriver& driver,
+                      std::chrono::steady_clock::time_point t0,
+                      std::chrono::steady_clock::time_point t1) {
+  const LatencyRecorder& latency = driver.sinks().latency_all;
+  r.completed = static_cast<int>(driver.completed());
+  r.elapsed_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  r.throughput = r.completed / (r.elapsed_ms / 1000.0);
+  r.latency_mean_ms = latency.mean_ms();
+  r.latency_p95_ms = latency.percentile_ms(95);
+}
+
+constexpr workload::ClientDriver::Options kDriverOptions{
+    .payload_size = kPayload, .per_client_cap = kMsgsPerClient};
+
+/// Both columns run the same workload: kMsgsPerClient closed-loop messages
+/// per client, client c drawing destinations from the c-th fork of
+/// Rng(cfg.seed).
+workload::DestinationDraw mixed_draw() {
+  return workload::pair_draw({GroupId{0}, GroupId{1}, GroupId{2}},
+                             kGlobalFraction);
+}
+
+void add_clients(workload::ClientDriver& driver,
+                 const std::vector<core::Client*>& clients,
+                 std::uint64_t seed) {
+  Rng seeder(seed);
+  for (core::Client* client : clients) {
+    driver.add_client(*client, seeder.fork());
   }
-  return {GroupId{static_cast<std::int32_t>(rng.next_below(3))}};
 }
 
 BackendResult run_runtime(const net::ClusterConfig& cfg) {
@@ -94,74 +114,27 @@ BackendResult run_runtime(const net::ClusterConfig& cfg) {
   runtime::ParallelSystem system(cfg.tree(), cfg.f, opts);
 
   std::vector<core::Client*> clients;
-  std::vector<Rng> rngs;
   for (int c = 0; c < kClients; ++c) {
     clients.push_back(&system.add_client("client" + std::to_string(c)));
-    rngs.push_back(system.env().fork_rng());
   }
-
-  const Bytes payload(kPayload, std::uint8_t{0xab});
-  const int total = kClients * kMsgsPerClient;
-  std::vector<int> sent(kClients, 0);
-  std::vector<std::vector<std::vector<GroupId>>> issued(kClients);
-  std::atomic<int> done{0};
-  std::mutex lat_mu;
-  LatencyRecorder latency;
-
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = sent[static_cast<std::size_t>(c)];
-    if (count == kMsgsPerClient) return;
-    ++count;
-    std::vector<GroupId> dst = pick_dst(rngs[static_cast<std::size_t>(c)]);
-    core::MulticastMessage canon;
-    canon.dst = dst;
-    canon.canonicalize();
-    issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time lat) {
-          {
-            const std::lock_guard<std::mutex> lock(lat_mu);
-            latency.record(system.env().now(), lat);
-          }
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
+  workload::ClientDriver driver(system.env(), kDriverOptions, mixed_draw());
+  add_clients(driver, clients, cfg.seed);
 
   system.start();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int c = 0; c < kClients; ++c) {
-    system.env().run_on(clients[static_cast<std::size_t>(c)]->id(),
-                        [&issue, c] { issue(c); });
-  }
-  const auto deadline = t0 + std::chrono::minutes(5);
-  while (done.load() < total && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  driver.start_closed_loop();
+  driver.await_completed(kClients * kMsgsPerClient, std::chrono::minutes(5));
   const auto t1 = std::chrono::steady_clock::now();
   system.stop();
 
   BackendResult r;
   r.backend = "runtime";
-  r.completed = done.load();
-  r.elapsed_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.throughput = r.completed / (r.elapsed_ms / 1000.0);
-  r.latency_mean_ms = latency.mean_ms();
-  r.latency_p95_ms = latency.percentile_ms(95);
+  fill_client_side(r, driver, t0, t1);
   r.deliveries = system.delivery_log().total_deliveries();
 
   core::PropertyInput in;
   in.log = &system.delivery_log();
-  for (int c = 0; c < kClients; ++c) {
-    const auto& dsts = issued[static_cast<std::size_t>(c)];
-    for (std::size_t k = 0; k < dsts.size(); ++k) {
-      in.sent.push_back(core::SentMessage{
-          MessageId{clients[static_cast<std::size_t>(c)]->id(),
-                    static_cast<std::uint64_t>(k)},
-          dsts[k]});
-    }
-  }
+  in.sent = driver.sent();
   for (int g = 0; g < 3; ++g) {
     auto& grp = system.system().group(GroupId{g});
     for (const int i : grp.correct_indices()) {
@@ -188,45 +161,13 @@ BackendResult run_net(const net::ClusterConfig& cfg,
   }
   cluster.start();
 
-  const Bytes payload(kPayload, std::uint8_t{0xab});
-  const int total = kClients * kMsgsPerClient;
-  std::vector<int> sent(kClients, 0);
-  std::vector<std::vector<std::vector<GroupId>>> issued(kClients);
-  std::atomic<int> done{0};
-  std::mutex lat_mu;
-  LatencyRecorder latency;
-  Rng rng(cfg.seed);
-
-  // Runs on the client node's loop thread; re-issue from the completion.
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = sent[static_cast<std::size_t>(c)];
-    if (count == kMsgsPerClient) return;
-    ++count;
-    std::vector<GroupId> dst = pick_dst(rng);
-    core::MulticastMessage canon;
-    canon.dst = dst;
-    canon.canonicalize();
-    issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time lat) {
-          {
-            const std::lock_guard<std::mutex> lock(lat_mu);
-            latency.record(cluster.client_node().env().now(), lat);
-          }
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
+  workload::ClientDriver driver(cluster.client_node().env(), kDriverOptions,
+                                mixed_draw());
+  add_clients(driver, clients, cfg.seed);
 
   const auto t0 = std::chrono::steady_clock::now();
-  cluster.client_node().env().post([&] {
-    for (int c = 0; c < kClients; ++c) issue(c);
-  });
-  const auto deadline = t0 + std::chrono::minutes(5);
-  while (done.load() < total && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  driver.start_closed_loop();
+  driver.await_completed(kClients * kMsgsPerClient, std::chrono::minutes(5));
   const auto t1 = std::chrono::steady_clock::now();
 
   // Stragglers catch up via anti-entropy (liveness cadence 1s, state
@@ -249,11 +190,7 @@ BackendResult run_net(const net::ClusterConfig& cfg,
 
   BackendResult r;
   r.backend = backend_name;
-  r.completed = done.load();
-  r.elapsed_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.throughput = r.completed / (r.elapsed_ms / 1000.0);
-  r.latency_mean_ms = latency.mean_ms();
-  r.latency_p95_ms = latency.percentile_ms(95);
+  fill_client_side(r, driver, t0, t1);
   r.deliveries = cluster.total_deliveries();
   for (int g = 0; g < 3; ++g) {
     for (int i = 0; i < 4; ++i) {
@@ -266,15 +203,7 @@ BackendResult run_net(const net::ClusterConfig& cfg,
   }
   cluster.stop();
 
-  std::vector<core::SentMessage> sent_msgs;
-  for (std::size_t c = 0; c < clients.size(); ++c) {
-    for (std::size_t k = 0; k < issued[c].size(); ++k) {
-      sent_msgs.push_back(core::SentMessage{
-          MessageId{clients[c]->id(), static_cast<std::uint64_t>(k)},
-          issued[c][k]});
-    }
-  }
-  core::PropertyResult verdict = cluster.check_properties(sent_msgs);
+  core::PropertyResult verdict = cluster.check_properties(driver.sent());
   if (verdict.ok && cluster.total_monitor_violations() > 0) {
     verdict.ok = false;
     verdict.error = "online monitor violations";

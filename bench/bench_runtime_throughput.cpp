@@ -14,24 +14,19 @@
 // the five atomic-multicast property checkers over each config's
 // DeliveryLog; a throughput number from a run that broke ordering would be
 // meaningless).
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "core/multicast.hpp"
 #include "core/properties.hpp"
 #include "core/tree.hpp"
 #include "runtime/parallel_system.hpp"
+#include "workload/driver.hpp"
 #include "workload/report.hpp"
 
 namespace {
@@ -57,11 +52,10 @@ struct ConfigResult {
   std::string properties_error;
 };
 
-core::OverlayTree make_tree(int groups) {
-  std::vector<GroupId> targets;
-  for (int i = 0; i < groups; ++i) targets.push_back(GroupId{i});
-  return groups == 1 ? core::OverlayTree::single(targets[0])
-                     : core::OverlayTree::two_level(targets, GroupId{100});
+core::OverlayTree make_tree(const std::vector<GroupId>& targets) {
+  return targets.size() == 1
+             ? core::OverlayTree::single(targets[0])
+             : core::OverlayTree::two_level(targets, GroupId{100});
 }
 
 /// Runs one closed-loop configuration; `global_fraction` of messages go to
@@ -77,73 +71,26 @@ ConfigResult run_config(int groups, double global_fraction,
     opts.obs = Observability{.metrics = sidecar->metrics.get(),
                              .spans = sidecar->spans.get()};
   }
-  runtime::ParallelSystem system(make_tree(groups), /*f=*/1, opts);
+  std::vector<GroupId> targets;
+  for (int g = 0; g < groups; ++g) targets.push_back(GroupId{g});
+  runtime::ParallelSystem system(make_tree(targets), /*f=*/1, opts);
 
-  std::vector<core::Client*> clients;
-  std::vector<Rng> rngs;
+  workload::ClientDriver driver(
+      system.env(),
+      {.payload_size = kPayload, .per_client_cap = kMsgsPerClient},
+      workload::pair_draw(targets, global_fraction));
   for (int c = 0; c < kClients; ++c) {
-    clients.push_back(&system.add_client("client" + std::to_string(c)));
+    auto& client = system.add_client("client" + std::to_string(c));
     if (sidecar != nullptr) {
-      clients.back()->set_trace_sample_every(
-          workload::kSidecarSpanSampleEvery);
+      client.set_trace_sample_every(workload::kSidecarSpanSampleEvery);
     }
-    rngs.push_back(system.env().fork_rng());
+    driver.add_client(client, system.env().fork_rng());
   }
-
-  const Bytes payload(kPayload, std::uint8_t{0xab});
-  const int total = kClients * kMsgsPerClient;
-  std::vector<int> sent(kClients, 0);  // each slot touched by one worker
-  // Canonical destination of every issued message, recorded at issue time
-  // for the property checkers (slot c only touched by client c's worker).
-  std::vector<std::vector<std::vector<GroupId>>> issued(kClients);
-  std::atomic<int> done{0};
-  std::mutex lat_mu;
-  LatencyRecorder latency;
-
-  // issue(c) always runs on client c's worker, so the re-issue from the
-  // completion callback may call a_multicast directly.
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = sent[static_cast<std::size_t>(c)];
-    if (count == kMsgsPerClient) return;
-    ++count;
-    Rng& rng = rngs[static_cast<std::size_t>(c)];
-    std::vector<GroupId> dst;
-    if (groups > 1 && rng.next_bool(global_fraction)) {
-      const auto a = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(groups)));
-      const auto b = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(groups - 1)));
-      dst = {GroupId{a}, GroupId{b < a ? b : b + 1}};
-    } else {
-      dst = {GroupId{static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(groups)))}};
-    }
-    core::MulticastMessage canon;
-    canon.dst = dst;
-    canon.canonicalize();
-    issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time lat) {
-          {
-            const std::lock_guard<std::mutex> lock(lat_mu);
-            latency.record(system.env().now(), lat);
-          }
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
 
   system.start();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int c = 0; c < kClients; ++c) {
-    system.env().run_on(clients[static_cast<std::size_t>(c)]->id(),
-                        [&issue, c] { issue(c); });
-  }
-  const auto deadline = t0 + std::chrono::minutes(5);
-  while (done.load() < total && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  driver.start_closed_loop();
+  driver.await_completed(kClients * kMsgsPerClient, std::chrono::minutes(5));
   const auto t1 = std::chrono::steady_clock::now();
   system.stop();
 
@@ -151,10 +98,11 @@ ConfigResult run_config(int groups, double global_fraction,
   r.groups = groups;
   r.pattern = global_fraction > 0.0 ? "mixed" : "local";
   r.workers = system.env().executor().workers();
-  r.completed = done.load();
+  r.completed = static_cast<int>(driver.completed());
   r.elapsed_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.throughput = r.completed / (r.elapsed_ms / 1000.0);
+  const LatencyRecorder& latency = driver.sinks().latency_all;
   r.latency_mean_ms = latency.mean_ms();
   r.latency_p95_ms = latency.percentile_ms(95);
   r.deliveries = system.delivery_log().total_deliveries();
@@ -164,15 +112,7 @@ ConfigResult run_config(int groups, double global_fraction,
   // have quiesced after stop(), so the structural readers are safe).
   core::PropertyInput in;
   in.log = &system.delivery_log();
-  for (int c = 0; c < kClients; ++c) {
-    const auto& dsts = issued[static_cast<std::size_t>(c)];
-    for (std::size_t k = 0; k < dsts.size(); ++k) {
-      in.sent.push_back(core::SentMessage{
-          MessageId{clients[static_cast<std::size_t>(c)]->id(),
-                    static_cast<std::uint64_t>(k)},
-          dsts[k]});
-    }
-  }
+  in.sent = driver.sent();
   for (int g = 0; g < groups; ++g) {
     auto& grp = system.system().group(GroupId{g});
     for (const int i : grp.correct_indices()) {

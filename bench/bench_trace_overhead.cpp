@@ -10,19 +10,16 @@
 // harness. The target for the sampled mode is <5% regression; each mode
 // runs several times and the best throughput is kept, since single
 // wall-clock runs on a shared host are noisy.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/span.hpp"
-#include "core/multicast.hpp"
 #include "core/tree.hpp"
 #include "runtime/parallel_system.hpp"
+#include "workload/driver.hpp"
 #include "workload/report.hpp"
 
 namespace {
@@ -43,10 +40,10 @@ struct ModeResult {
   std::uint64_t dropped = 0;
 };
 
-core::OverlayTree make_tree() {
+std::vector<GroupId> make_targets() {
   std::vector<GroupId> targets;
   for (int i = 0; i < kGroups; ++i) targets.push_back(GroupId{i});
-  return core::OverlayTree::two_level(targets, GroupId{100});
+  return targets;
 }
 
 double run_once(std::uint32_t sample_every, std::uint64_t* spans,
@@ -55,58 +52,26 @@ double run_once(std::uint32_t sample_every, std::uint64_t* spans,
   opts.runtime.seed = 97;
   SpanLog span_log;
   if (sample_every > 0) opts.obs.spans = &span_log;
-  runtime::ParallelSystem system(make_tree(), /*f=*/1, opts);
-
-  std::vector<core::Client*> clients;
-  std::vector<Rng> rngs;
-  for (int c = 0; c < kClients; ++c) {
-    auto& client = system.add_client("client" + std::to_string(c));
-    client.set_trace_sample_every(sample_every);
-    clients.push_back(&client);
-    rngs.push_back(system.env().fork_rng());
-  }
-
-  const Bytes payload(kPayload, std::uint8_t{0xab});
-  const int total = kClients * kMsgsPerClient;
-  std::vector<int> sent(kClients, 0);
-  std::atomic<int> done{0};
+  const std::vector<GroupId> targets = make_targets();
+  runtime::ParallelSystem system(
+      core::OverlayTree::two_level(targets, GroupId{100}), /*f=*/1, opts);
 
   // Mixed workload: half the messages go to a random pair of distinct
   // groups, half to one random group (same shape as runtime_throughput).
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = sent[static_cast<std::size_t>(c)];
-    if (count == kMsgsPerClient) return;
-    ++count;
-    Rng& rng = rngs[static_cast<std::size_t>(c)];
-    std::vector<GroupId> dst;
-    if (rng.next_bool(0.5)) {
-      const auto a = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(kGroups)));
-      const auto b = static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(kGroups - 1)));
-      dst = {GroupId{a}, GroupId{b < a ? b : b + 1}};
-    } else {
-      dst = {GroupId{static_cast<std::int32_t>(
-          rng.next_below(static_cast<std::uint64_t>(kGroups)))}};
-    }
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time) {
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
+  workload::ClientDriver driver(
+      system.env(),
+      {.payload_size = kPayload, .per_client_cap = kMsgsPerClient},
+      workload::pair_draw(targets, 0.5));
+  for (int c = 0; c < kClients; ++c) {
+    auto& client = system.add_client("client" + std::to_string(c));
+    client.set_trace_sample_every(sample_every);
+    driver.add_client(client, system.env().fork_rng());
+  }
 
   system.start();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int c = 0; c < kClients; ++c) {
-    system.env().run_on(clients[static_cast<std::size_t>(c)]->id(),
-                        [&issue, c] { issue(c); });
-  }
-  const auto deadline = t0 + std::chrono::minutes(5);
-  while (done.load() < total && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  driver.start_closed_loop();
+  driver.await_completed(kClients * kMsgsPerClient, std::chrono::minutes(5));
   const auto t1 = std::chrono::steady_clock::now();
   system.stop();
 
@@ -114,7 +79,7 @@ double run_once(std::uint32_t sample_every, std::uint64_t* spans,
   if (dropped != nullptr) *dropped = span_log.dropped();
   const double elapsed_s =
       std::chrono::duration<double>(t1 - t0).count();
-  return done.load() / elapsed_s;
+  return static_cast<double>(driver.completed()) / elapsed_s;
 }
 
 ModeResult run_mode(const std::string& mode, std::uint32_t sample_every) {

@@ -119,4 +119,10 @@ void NetEnv::schedule(ProcessId owner, Time delay,
   loop_.schedule(delay < 0 ? 0 : delay, std::move(fn));
 }
 
+bool NetEnv::run_on(ProcessId owner, std::function<void()> fn) {
+  if (!is_local(owner)) return false;
+  post(std::move(fn));
+  return true;
+}
+
 }  // namespace byzcast::net

@@ -116,6 +116,8 @@ class NetEnv final : public sim::ExecutionEnv {
   void send_message(sim::WireMessage msg) override;
   void schedule(ProcessId owner, Time delay,
                 std::function<void()> fn) override;
+  /// post() for a local owner; false for a ghost.
+  bool run_on(ProcessId owner, std::function<void()> fn) override;
 
  private:
   void deliver_local(sim::WireMessage msg);

@@ -1,6 +1,9 @@
-// byzcast-loadgen: closed-loop client driver for a running byzcastd cluster,
-// plus the offline dump checker that turns per-process artifacts back into
-// a global property verdict.
+// byzcast-loadgen: load generator for a running byzcastd cluster, plus the
+// offline dump checker that turns per-process artifacts back into a global
+// property verdict. Both load modes run workload::ClientDriver — the same
+// client loop the simulator harness and the wall-clock benches use — on
+// this process's NetEnv; the driver enters the client node's event loop
+// through NetEnv::run_on.
 //
 // Load mode (default):
 //   byzcast-loadgen --config cluster.json --out-dir run/ \
@@ -15,13 +18,14 @@
 // Workload mode:
 //   byzcast-loadgen --config cluster.json --workload spec.json --out-dir run/
 // Drives the cluster OPEN-LOOP from a workload spec
-// (configs/workloads/*.json): a wall-clock RateController paces Poisson
-// arrivals at the spec's rate (fixed or step schedule; drift-corrected, so
-// scheduler jitter does not shave the offered load), destinations come from
-// the spec's pattern — including Zipf skew and the per-class local/global
-// rate split — and clients_per_group / payload / warmup / duration are read
-// from the spec. Emits the same artifacts as load mode. Exit 0 iff every
-// issued message completed before the post-run grace timeout.
+// (configs/workloads/*.json): a wall-clock RateController on the main
+// thread paces Poisson arrivals (ClientDriver::fire) at the spec's rate
+// (fixed or step schedule; drift-corrected, so scheduler jitter does not
+// shave the offered load), destinations come from the spec's pattern —
+// including Zipf skew and the per-class local/global rate split — and
+// clients_per_group / payload / warmup / duration are read from the spec.
+// Emits the same artifacts as load mode. Exit 0 iff every fired arrival
+// completed before the post-run grace timeout.
 //
 // Check mode:
 //   byzcast-loadgen --check-dumps --config cluster.json --dir run/ \
@@ -31,22 +35,19 @@
 // Exit 0 iff everything holds. --exclude marks seats (killed daemons) whose
 // dumps impose no obligations.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "core/multicast.hpp"
 #include "net/cluster.hpp"
 #include "net/dump.hpp"
-#include "workload/generator.hpp"
+#include "workload/driver.hpp"
 #include "workload/rate.hpp"
 #include "workload/report.hpp"
 #include "workload/spec.hpp"
@@ -212,31 +213,51 @@ void linger(const Args& args) {
   std::this_thread::sleep_for(std::chrono::seconds(args.linger_s));
 }
 
+/// Connects and starts the client node, then waits for the full mesh
+/// before offering load, so the first messages are not spent discovering
+/// which daemons are still booting. False (node stopped) after 30 s.
+bool start_connected(const net::ClusterConfig& cfg, net::ClusterNode& node) {
+  node.connect(cfg);
+  node.start();
+  const auto connect_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!node.env().transport().all_peers_connected() &&
+         std::chrono::steady_clock::now() < connect_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!node.env().transport().all_peers_connected()) {
+    std::fprintf(stderr,
+                 "byzcast-loadgen: cluster not fully reachable after 30s\n");
+    node.stop();
+    return false;
+  }
+  return true;
+}
+
+std::vector<GroupId> target_ids(const net::ClusterConfig& cfg) {
+  std::vector<GroupId> out;
+  for (const net::GroupSpec& g : cfg.groups) {
+    if (g.is_target) out.push_back(g.id);
+  }
+  return out;
+}
+
 /// Shared artifact emission for both load modes: sent dump (the checker's
 /// ground truth for validity), JSON summary and CSV row.
 void write_load_artifacts(const Args& args, net::ClusterNode& node,
-                          const std::vector<core::Client*>& clients,
-                          const std::vector<std::vector<std::vector<GroupId>>>&
-                              issued,
-                          net::Json summary, const char* csv_mode,
-                          int issued_total, int completed, double elapsed_ms,
-                          const LatencyRecorder& latency) {
+                          workload::ClientDriver& driver, net::Json summary,
+                          const char* csv_mode, int issued_total,
+                          int completed, double elapsed_ms) {
   net::SentDump dump;
   dump.node = "client";
-  for (std::size_t c = 0; c < clients.size(); ++c) {
-    const auto& dsts = issued[c];
-    for (std::size_t k = 0; k < dsts.size(); ++k) {
-      dump.sent.push_back(core::SentMessage{
-          MessageId{clients[c]->id(), static_cast<std::uint64_t>(k)},
-          dsts[k]});
-    }
-  }
+  dump.sent = driver.sent();
   std::string error;
   if (!net::write_json_file(args.out_dir + "/sent_client.json",
                             net::sent_dump_to_json(dump), &error)) {
     std::fprintf(stderr, "byzcast-loadgen: %s\n", error.c_str());
   }
 
+  const LatencyRecorder& latency = driver.sinks().latency_all;
   const auto tr = node.env().transport().stats();
   const double throughput = completed / (elapsed_ms / 1000.0);
   summary.set("completed", net::Json::number(completed));
@@ -263,7 +284,7 @@ void write_load_artifacts(const Args& args, net::ClusterNode& node,
       args.out_dir + "/loadgen.csv",
       {"mode", "clients", "total", "completed", "elapsed_ms",
        "throughput_msgs_s", "latency_mean_ms", "latency_p95_ms"},
-      {{csv_mode, std::to_string(clients.size()),
+      {{csv_mode, std::to_string(driver.clients()),
         std::to_string(issued_total), std::to_string(completed),
         std::to_string(elapsed_ms), std::to_string(throughput),
         std::to_string(latency.mean_ms()),
@@ -297,49 +318,20 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
   if (!setup_client_observability(cfg, node)) return 1;
   const std::uint32_t sample_every = effective_sample_every(args, cfg);
 
-  const auto targets = [&cfg] {
-    std::vector<GroupId> out;
-    for (const net::GroupSpec& g : cfg.groups) {
-      if (g.is_target) out.push_back(g.id);
-    }
-    return out;
-  }();
+  const std::vector<GroupId> targets = target_ids(cfg);
   const int ngroups = static_cast<int>(targets.size());
   const int nclients = spec.base.clients_per_group * ngroups;
 
-  std::vector<core::Client*> clients;
-  std::vector<workload::DestinationGenerator> generators;
-  std::vector<Rng> rngs;
+  workload::ClientDriver driver(
+      node.env(), {.payload_size = spec.base.payload_size},
+      workload::pattern_draw(spec.base.workload, targets,
+                             static_cast<std::size_t>(nclients)));
   for (int c = 0; c < nclients; ++c) {
-    clients.push_back(&node.add_client("client" + std::to_string(c)));
-    clients.back()->set_trace_sample_every(sample_every);
-    generators.emplace_back(spec.base.workload, targets,
-                            static_cast<std::size_t>(c % ngroups));
-    rngs.push_back(node.env().fork_rng());
+    core::Client& client = node.add_client("client" + std::to_string(c));
+    client.set_trace_sample_every(sample_every);
+    driver.add_client(client, node.env().fork_rng());
   }
-  node.connect(cfg);
-  node.start();
-
-  const auto connect_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!node.env().transport().all_peers_connected() &&
-         std::chrono::steady_clock::now() < connect_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (!node.env().transport().all_peers_connected()) {
-    std::fprintf(stderr,
-                 "byzcast-loadgen: cluster not fully reachable after 30s\n");
-    node.stop();
-    return 1;
-  }
-
-  const Bytes payload(spec.base.payload_size, std::uint8_t{0xab});
-  std::vector<std::vector<std::vector<GroupId>>> issued(
-      static_cast<std::size_t>(nclients));
-  std::atomic<int> done{0};
-  std::atomic<int> sent{0};
-  LatencyRecorder latency;  // loop-thread-only, like the completions
-  latency.set_warmup(spec.base.warmup);
+  if (!start_connected(cfg, node)) return 1;
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_ns = [&t0] {
@@ -348,45 +340,19 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
             std::chrono::steady_clock::now() - t0)
             .count());
   };
-
-  // Destination class per arrival: kPattern lets the generator mix; a
-  // local_share in [0,1] runs two processes with forced classes.
-  enum class Cls { kPattern, kLocal, kGlobal };
-  const auto fire = [&](Cls cls) {
-    node.env().post([&, cls] {
-      const int c = sent.fetch_add(1) % nclients;
-      auto& gen = generators[static_cast<std::size_t>(c)];
-      Rng& rng = rngs[static_cast<std::size_t>(c)];
-      std::vector<GroupId> dst;
-      switch (cls) {
-        case Cls::kPattern: dst = gen.next(rng); break;
-        case Cls::kLocal: dst = gen.next_local(rng); break;
-        case Cls::kGlobal: dst = gen.next_global(rng); break;
-      }
-      core::MulticastMessage canon;
-      canon.dst = dst;
-      canon.canonicalize();
-      issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-      clients[static_cast<std::size_t>(c)]->a_multicast(
-          std::move(dst), payload,
-          [&](const core::MulticastMessage&, Time lat) {
-            latency.record(elapsed_ns(), lat);
-            done.fetch_add(1);
-          });
-    });
-  };
+  driver.sinks().latency_all.set_warmup(node.env().now() + spec.base.warmup);
 
   // One or two arrival processes, each with drift correction against the
   // shared wall clock; the main thread sleeps to the earliest next arrival.
   struct Proc {
     workload::RateController ctl;
-    Cls cls;
+    workload::DestClass cls;
     Time next_at;
   };
   const double share = spec.base.open_loop_local_share;
   std::vector<Proc> procs;
   Rng seed_rng(spec.base.seed ^ 0x9e3779b97f4a7c15ULL);
-  const auto add_proc = [&](double rate, Cls cls) {
+  const auto add_proc = [&](double rate, workload::DestClass cls) {
     if (rate <= 0.0) return;
     procs.push_back(Proc{workload::RateController(rate, seed_rng.fork(), 0),
                          cls, 0});
@@ -406,10 +372,10 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
   };
   if (share >= 0.0) {
     const double s = std::min(1.0, std::max(0.0, share));
-    add_proc(rates[0] * s, Cls::kLocal);
-    add_proc(rates[0] * (1.0 - s), Cls::kGlobal);
+    add_proc(rates[0] * s, workload::DestClass::kLocal);
+    add_proc(rates[0] * (1.0 - s), workload::DestClass::kGlobal);
   } else {
-    add_proc(rates[0], Cls::kPattern);
+    add_proc(rates[0], workload::DestClass::kPattern);
   }
   for (Proc& p : procs) p.next_at = p.ctl.next_delay(0);
 
@@ -419,6 +385,7 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
   const Time horizon =
       spec.base.warmup + segment * static_cast<Time>(rates.size());
   std::size_t current_rate = 0;
+  std::uint64_t fired = 0;
   while (true) {
     const Time now = elapsed_ns();
     if (now >= horizon) break;
@@ -438,30 +405,24 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
       std::this_thread::sleep_for(
           std::chrono::nanoseconds(next->next_at - now));
     }
-    fire(next->cls);
+    driver.fire(next->cls);
+    ++fired;
     next->next_at = elapsed_ns() + next->ctl.next_delay(elapsed_ns());
   }
 
   // Open loop has in-flight messages at the horizon; grant a grace window
   // for the tail to drain so the dump checker sees every send delivered.
-  // `sent` increments on the loop thread as posts execute, so wait until it
-  // is both stable (the post queue drained) and matched by completions.
-  const auto grace =
-      std::chrono::steady_clock::now() + std::chrono::seconds(args.timeout_s);
-  int issued_total = sent.load();
-  while (std::chrono::steady_clock::now() < grace) {
-    const int s = sent.load();
-    if (done.load() >= s && s == issued_total) break;
-    issued_total = s;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  issued_total = sent.load();
+  // Each fire() issues one message once its post runs on the loop thread,
+  // so wait for as many completions as arrivals fired (counting issues
+  // instead can miss a still-queued post and call the tail drained early).
+  driver.await_completed(fired, std::chrono::seconds(args.timeout_s));
+  const int issued_total = static_cast<int>(fired);
   const double elapsed_ms =
       static_cast<double>(elapsed_ns()) / 1e6;
   linger(args);
   node.stop();
 
-  const int completed = done.load();
+  const int completed = static_cast<int>(driver.completed());
   double offered = 0.0;
   std::uint64_t behind = 0;
   for (const Proc& p : procs) behind += p.ctl.behind_ns();
@@ -474,10 +435,10 @@ int run_workload_load(const Args& args, const net::ClusterConfig& cfg,
   summary.set("offered_rate_msgs_s", net::Json::number(offered));
   summary.set("rate_behind_ns",
               net::Json::number(static_cast<double>(behind)));
-  write_load_artifacts(args, node, clients, issued, std::move(summary),
-                       "workload", issued_total, completed, elapsed_ms,
-                       latency);
+  write_load_artifacts(args, node, driver, std::move(summary), "workload",
+                       issued_total, completed, elapsed_ms);
 
+  const LatencyRecorder& latency = driver.sinks().latency_all;
   std::printf(
       "loadgen[workload %s]: %d/%d completed in %.1f ms (offered %.0f "
       "msg/s, mean %.2f ms, p95 %.2f ms)\n",
@@ -491,108 +452,43 @@ int run_load(const Args& args, const net::ClusterConfig& cfg) {
   if (!setup_client_observability(cfg, node)) return 1;
   const std::uint32_t sample_every = effective_sample_every(args, cfg);
 
-  std::vector<core::Client*> clients;
-  std::vector<Rng> rngs;
+  workload::ClientDriver driver(
+      node.env(),
+      {.payload_size = args.payload,
+       .per_client_cap = static_cast<std::uint64_t>(args.msgs)},
+      workload::pair_draw(target_ids(cfg), args.global_fraction));
   for (int c = 0; c < args.clients; ++c) {
-    clients.push_back(&node.add_client("client" + std::to_string(c)));
-    clients.back()->set_trace_sample_every(sample_every);
-    rngs.push_back(node.env().fork_rng());
+    core::Client& client = node.add_client("client" + std::to_string(c));
+    client.set_trace_sample_every(sample_every);
+    driver.add_client(client, node.env().fork_rng());
   }
-  node.connect(cfg);
-  node.start();
+  if (!start_connected(cfg, node)) return 1;
 
-  // Wait for the full mesh before offering load, so the first messages are
-  // not spent discovering which daemons are still booting.
-  const auto connect_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!node.env().transport().all_peers_connected() &&
-         std::chrono::steady_clock::now() < connect_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (!node.env().transport().all_peers_connected()) {
-    std::fprintf(stderr,
-                 "byzcast-loadgen: cluster not fully reachable after 30s\n");
-    node.stop();
-    return 1;
-  }
-
-  const auto targets = [&cfg] {
-    std::vector<GroupId> out;
-    for (const net::GroupSpec& g : cfg.groups) {
-      if (g.is_target) out.push_back(g.id);
-    }
-    return out;
-  }();
-  const int ngroups = static_cast<int>(targets.size());
-  const Bytes payload(args.payload, std::uint8_t{0xab});
   const int total = args.clients * args.msgs;
-
-  std::vector<int> sent_count(static_cast<std::size_t>(args.clients), 0);
-  std::vector<std::vector<std::vector<GroupId>>> issued(
-      static_cast<std::size_t>(args.clients));
-  std::atomic<int> done{0};
-  LatencyRecorder latency;  // loop-thread-only, like the completions
-
-  // Closed loop, entirely on the node's loop thread: the completion
-  // callback issues the next message directly.
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = sent_count[static_cast<std::size_t>(c)];
-    if (count == args.msgs) return;
-    ++count;
-    Rng& rng = rngs[static_cast<std::size_t>(c)];
-    std::vector<GroupId> dst;
-    if (ngroups > 1 && rng.next_bool(args.global_fraction)) {
-      const auto a = static_cast<std::size_t>(
-          rng.next_below(static_cast<std::uint64_t>(ngroups)));
-      auto b = static_cast<std::size_t>(
-          rng.next_below(static_cast<std::uint64_t>(ngroups - 1)));
-      if (b >= a) ++b;
-      dst = {targets[a], targets[b]};
-    } else {
-      dst = {targets[static_cast<std::size_t>(
-          rng.next_below(static_cast<std::uint64_t>(ngroups)))]};
-    }
-    core::MulticastMessage canon;
-    canon.dst = dst;
-    canon.canonicalize();
-    issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time lat) {
-          latency.record(node.env().now(), lat);
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
-
   const auto t0 = std::chrono::steady_clock::now();
-  for (int c = 0; c < args.clients; ++c) {
-    node.env().post([&issue, c] { issue(c); });
-  }
-  const auto deadline = t0 + std::chrono::seconds(args.timeout_s);
-  while (done.load() < total &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  driver.start_closed_loop();
+  driver.await_completed(static_cast<std::uint64_t>(total),
+                         std::chrono::seconds(args.timeout_s));
   const auto t1 = std::chrono::steady_clock::now();
   linger(args);
   node.stop();
 
-  const int completed = done.load();
+  const int completed = static_cast<int>(driver.completed());
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
 
   net::Json summary = net::Json::object();
   summary.set("mode", net::Json::string("closed-loop"));
   summary.set("global_fraction", net::Json::number(args.global_fraction));
-  write_load_artifacts(args, node, clients, issued, std::move(summary),
-                       "closed-loop", total, completed, elapsed_ms, latency);
+  write_load_artifacts(args, node, driver, std::move(summary), "closed-loop",
+                       total, completed, elapsed_ms);
 
   std::printf(
       "loadgen: %d/%d completed in %.1f ms (%.0f msgs/s, mean %.2f ms, "
       "p95 %.2f ms)\n",
       completed, total, elapsed_ms, completed / (elapsed_ms / 1000.0),
-      latency.mean_ms(), latency.percentile_ms(95));
+      driver.sinks().latency_all.mean_ms(),
+      driver.sinks().latency_all.percentile_ms(95));
   return completed == total ? 0 : 1;
 }
 

@@ -87,13 +87,12 @@ class RuntimeEnv final : public sim::ExecutionEnv {
   }
   void schedule(ProcessId owner, Time delay,
                 std::function<void()> fn) override;
+  /// Call from a thread OUTSIDE the pool: posts with backpressure (blocks
+  /// while the owner's worker mailbox is full). False if the owner is
+  /// unknown or the executor stopped.
+  bool run_on(ProcessId owner, std::function<void()> fn) override;
 
   // --- runtime-specific ----------------------------------------------------
-  /// Runs `fn` serialized with `owner` from a thread OUTSIDE the pool, with
-  /// backpressure (blocks while the owner's worker mailbox is full). The
-  /// load-injection edge: benchmarks submit client requests through this.
-  /// Returns false if the owner is unknown or the executor stopped.
-  bool run_on(ProcessId owner, std::function<void()> fn);
 
   [[nodiscard]] Executor& executor() { return executor_; }
   [[nodiscard]] ThreadNetwork& network() { return network_; }

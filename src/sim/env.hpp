@@ -105,6 +105,14 @@ class ExecutionEnv {
   /// must agree on firing order relative to tick-scale timers.
   virtual void schedule(ProcessId owner, Time delay,
                         std::function<void()> fn) = 0;
+
+  /// Runs `fn` serialized with `owner`'s message handling, from any thread
+  /// outside the backend: the edge through which a driver enters a client's
+  /// thread (workload::ClientDriver). The simulator calls `fn` at once; the
+  /// wall-clock backends queue it onto the owner's worker or event loop.
+  /// Returns false when `fn` could not be queued (unknown or non-local
+  /// owner, stopped backend).
+  virtual bool run_on(ProcessId owner, std::function<void()> fn) = 0;
 };
 
 }  // namespace byzcast::sim

@@ -69,6 +69,11 @@ class Simulation final : public ExecutionEnv {
   void schedule(ProcessId, Time delay, std::function<void()> fn) override {
     scheduler_.schedule_after(delay, std::move(fn));
   }
+  /// The caller already runs on the simulation's only thread.
+  bool run_on(ProcessId, std::function<void()> fn) override {
+    fn();
+    return true;
+  }
 
   /// Runs until simulated `deadline`.
   void run_until(Time deadline) { scheduler_.run_until(deadline); }

@@ -1,6 +1,7 @@
 #include "workload/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "baseline/baseline.hpp"
@@ -10,6 +11,7 @@
 #include "core/system.hpp"
 #include "sim/sampler.hpp"
 #include "sim/simulation.hpp"
+#include "workload/driver.hpp"
 #include "workload/rate.hpp"
 
 namespace byzcast::workload {
@@ -37,120 +39,20 @@ std::vector<GroupId> make_target_ids(int n) {
   return out;
 }
 
-/// Measurement sinks shared by all clients of a run.
-struct Sinks {
-  Time warmup_cutoff = 0;
-  Time stop_issuing = 0;
-  ExperimentResult* result = nullptr;
-  ThroughputMeter all, local, global;
-};
-
-void record_completion(Sinks& sinks, Time now, Time latency, bool is_local) {
-  ++sinks.result->completed;
-  sinks.all.record(now);
-  sinks.result->latency_all.record(now, latency);
-  if (is_local) {
-    sinks.local.record(now);
-    sinks.result->latency_local.record(now, latency);
-  } else {
-    sinks.global.record(now);
-    sinks.result->latency_global.record(now, latency);
-  }
-}
-
-/// One closed-loop ByzCast/Baseline client with its generator.
-struct CoreClientSlot {
-  std::unique_ptr<core::Client> client;
-  DestinationGenerator generator;
-  Rng rng;
-
-  CoreClientSlot(std::unique_ptr<core::Client> c, DestinationGenerator g,
-                 Rng r)
-      : client(std::move(c)), generator(std::move(g)), rng(r) {}
-
-  void issue(Sinks& sinks, sim::Simulation& sim, std::size_t payload_size) {
-    if (sim.now() >= sinks.stop_issuing) return;
-    std::vector<GroupId> dst = generator.next(rng);
-    const bool is_local = dst.size() == 1;
-    Bytes payload(payload_size, 0xAB);
-    client->a_multicast(
-        std::move(dst), std::move(payload),
-        [this, &sinks, &sim, payload_size, is_local](
-            const core::MulticastMessage&, Time latency) {
-          record_completion(sinks, sim.now(), latency, is_local);
-          issue(sinks, sim, payload_size);
-        });
-  }
-
-  /// Fires exactly one multicast to `dst` (open-loop arrivals; no re-issue
-  /// on completion — the RateController owns the pacing).
-  void fire_one(Sinks& sinks, sim::Simulation& sim, std::size_t payload_size,
-                std::vector<GroupId> dst) {
-    const bool is_local = dst.size() == 1;
-    client->a_multicast(std::move(dst), Bytes(payload_size, 0xAB),
-                        [&sinks, &sim, is_local](const core::MulticastMessage&,
-                                                 Time latency) {
-                          record_completion(sinks, sim.now(), latency,
-                                            is_local);
-                        });
-  }
-};
-
-/// Central open-loop driver: ONE Poisson arrival process over the whole
-/// client population (statistically the superposition of the old per-client
-/// processes), each arrival fired from the next client round-robin. A class
-/// mode of kLocal/kGlobal forces the destination class — two such drivers at
-/// split rates implement ExperimentConfig::open_loop_local_share.
-struct OpenLoopDriver {
-  enum class Class { kPattern, kLocal, kGlobal };
-
-  std::vector<CoreClientSlot>& clients;
-  Sinks& sinks;
-  sim::Simulation& sim;
-  std::size_t payload_size;
-  RateController controller;
-  Class cls;
-  std::size_t cursor = 0;
-
-  OpenLoopDriver(std::vector<CoreClientSlot>& c, Sinks& s,
-                 sim::Simulation& sm, std::size_t payload, double rate,
-                 Rng rng, Class k)
-      : clients(c), sinks(s), sim(sm), payload_size(payload),
-        controller(rate, rng, sm.now()), cls(k) {}
-
-  void arm() {
-    const Time delay = controller.next_delay(sim.now());
-    sim.scheduler().schedule_after(delay, [this] { fire(); });
-  }
-
-  void fire() {
-    if (sim.now() >= sinks.stop_issuing) return;
-    CoreClientSlot& slot = clients[cursor];
-    cursor = (cursor + 1) % clients.size();
-    std::vector<GroupId> dst;
-    switch (cls) {
-      case Class::kPattern: dst = slot.generator.next(slot.rng); break;
-      case Class::kLocal: dst = slot.generator.next_local(slot.rng); break;
-      case Class::kGlobal: dst = slot.generator.next_global(slot.rng); break;
-    }
-    slot.fire_one(sinks, sim, payload_size, std::move(dst));
-    arm();
-  }
-};
-
-/// One closed-loop client of the plain single-group broadcast.
+/// One closed-loop client of the plain single-group broadcast. Kept beside
+/// the driver because bft::ClientProxy is not a core::Client; its
+/// completions land in the driver's sinks.
 struct ProxyClientSlot {
   std::unique_ptr<bft::ClientProxy> proxy;
 
-  void issue(Sinks& sinks, sim::Simulation& sim, std::size_t payload_size) {
-    if (sim.now() >= sinks.stop_issuing) return;
-    Bytes payload(payload_size, 0xAB);
-    proxy->invoke(std::move(payload),
-                  [this, &sinks, &sim, payload_size](const Bytes&,
-                                                     Time latency) {
-                    record_completion(sinks, sim.now(), latency,
-                                      /*is_local=*/true);
-                    issue(sinks, sim, payload_size);
+  void issue(ClientDriver& driver, sim::Simulation& sim, Time stop_issuing,
+             std::size_t payload_size) {
+    if (sim.now() >= stop_issuing) return;
+    proxy->invoke(Bytes(payload_size, 0xAB),
+                  [this, &driver, &sim, stop_issuing, payload_size](
+                      const Bytes&, Time latency) {
+                    driver.record_completion(latency, /*is_local=*/true);
+                    issue(driver, sim, stop_issuing, payload_size);
                   });
   }
 };
@@ -172,6 +74,26 @@ std::string replica_label(GroupId g, int index) {
   return to_string(g) + ".r" + std::to_string(index);
 }
 
+/// Every bft::Replica::Counters field, published as replica.<name>.<gN.rI>
+/// when nonzero: an absent name reads as 0. Publishing all of them cost
+/// about a quarter of a 1 ms run's set-up time in map inserts.
+using ReplicaCounter = std::uint64_t bft::Replica::Counters::*;
+constexpr std::pair<const char*, ReplicaCounter> kReplicaCounters[] = {
+    {"views_installed", &bft::Replica::Counters::views_installed},
+    {"state_transfers", &bft::Replica::Counters::state_transfers},
+    {"proposals_made", &bft::Replica::Counters::proposals_made},
+    {"checkpoints_taken", &bft::Replica::Counters::checkpoints_taken},
+    {"rejected_requests", &bft::Replica::Counters::rejected_requests},
+    {"early_batch_cuts", &bft::Replica::Counters::early_batch_cuts},
+    {"timer_batch_cuts", &bft::Replica::Counters::timer_batch_cuts},
+    {"stale_window_drops", &bft::Replica::Counters::stale_window_drops},
+    {"buffered_decisions", &bft::Replica::Counters::buffered_decisions},
+    {"staged_verifies", &bft::Replica::Counters::staged_verifies},
+    {"deferred_execs", &bft::Replica::Counters::deferred_execs},
+    {"out_of_window_proposals",
+     &bft::Replica::Counters::out_of_window_proposals},
+};
+
 /// Per-replica protocol counters of one group, pulled into the registry
 /// after the run; every protocol publishes the same replica.* names.
 void export_replica_counters(MetricsRegistry& reg, bft::Group& grp,
@@ -181,6 +103,11 @@ void export_replica_counters(MetricsRegistry& reg, bft::Group& grp,
     const std::string label = replica_label(grp.id(), i);
     reg.counter("replica.executed." + label).inc(rep.executed_requests());
     reg.counter("replica.decided." + label).inc(rep.decided_instances());
+    for (const auto& [name, field] : kReplicaCounters) {
+      if (const std::uint64_t value = rep.counters().*field; value != 0) {
+        reg.counter("replica." + std::string(name) + "." + label).inc(value);
+      }
+    }
     reg.gauge("replica.cpu_busy_mean." + label)
         .set(static_cast<double>(rep.busy_time()) /
              static_cast<double>(horizon));
@@ -238,37 +165,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   ExperimentResult result;
-  Sinks sinks;
-  sinks.warmup_cutoff = config.warmup;
-  sinks.stop_issuing = config.warmup + config.duration;
-  sinks.result = &result;
-  result.latency_all.set_warmup(config.warmup);
-  result.latency_local.set_warmup(config.warmup);
-  result.latency_global.set_warmup(config.warmup);
-
   const Time horizon = config.warmup + config.duration;
-
+  const std::vector<GroupId> targets = make_target_ids(config.num_groups);
+  const int total_clients = config.clients_per_group * config.num_groups;
+  // The BFT-SMaRt clients are not core::Clients and draw no destinations.
+  ClientDriver driver(
+      *sim,
+      {.payload_size = config.payload_size,
+       .stop_issuing = horizon,
+       .warmup = config.warmup},
+      config.protocol == Protocol::kBftSmart
+          ? DestinationDraw{}
+          : pattern_draw(config.workload, targets,
+                         static_cast<std::size_t>(total_clients)));
   if (config.open_loop_total_rate > 0.0) {
-    // Open loop: the offered load bounds the sample count, so pre-reserve
-    // (no mid-run reallocation in the measurement path) and cap at a loose
-    // multiple of the expectation — a runaway shows up as a nonzero
-    // overflow() counter instead of silently eating the host's memory.
-    // Closed-loop runs are completion-paced and self-limiting.
-    const auto expected_completions = static_cast<std::size_t>(
-        config.open_loop_total_rate * to_sec(config.duration));
-    const auto expected_events = static_cast<std::size_t>(
-        config.open_loop_total_rate * to_sec(horizon));
-    const auto with_margin = [](std::size_t n) { return n + n / 4 + 1024; };
-    for (LatencyRecorder* rec :
-         {&result.latency_all, &result.latency_local,
-          &result.latency_global}) {
-      rec->reserve(with_margin(expected_completions));
-      rec->set_max_samples(8 * expected_completions + 8192);
-    }
-    for (ThroughputMeter* meter : {&sinks.all, &sinks.local, &sinks.global}) {
-      meter->reserve(with_margin(expected_events));
-      meter->set_max_events(8 * expected_events + 8192);
-    }
+    driver.reserve_open_loop(config.open_loop_total_rate, config.duration,
+                             horizon);
   }
 
   Observability obs;
@@ -292,8 +204,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     sampler = std::make_unique<sim::MetricsSampler>(*sim, *result.metrics,
                                                     config.sample_interval);
   }
-  const std::vector<GroupId> targets = make_target_ids(config.num_groups);
-  const int total_clients = config.clients_per_group * config.num_groups;
 
   if (config.protocol == Protocol::kBftSmart) {
     // Single group, echo application, plain broadcast clients.
@@ -325,7 +235,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
       sampler->start(horizon);
     }
-    for (auto& slot : clients) slot.issue(sinks, *sim, config.payload_size);
+    for (auto& slot : clients) {
+      slot.issue(driver, *sim, horizon, config.payload_size);
+    }
     sim->run_until(horizon);
     result.wire_messages = sim->network().messages_sent();
     if (obs.metrics != nullptr) {
@@ -373,56 +285,61 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       sampler->start(horizon);
     }
 
-    std::vector<CoreClientSlot> clients;
+    std::vector<std::unique_ptr<core::Client>> clients;
     clients.reserve(static_cast<std::size_t>(total_clients));
     Rng seeder(config.seed ^ 0x5bd1e995);
     for (int c = 0; c < total_clients; ++c) {
-      const auto home =
-          static_cast<std::size_t>(c % config.num_groups);
-      clients.emplace_back(
-          sys->make_client("client" + std::to_string(c)),
-          DestinationGenerator(config.workload, targets, home),
-          seeder.fork());
+      clients.push_back(sys->make_client("client" + std::to_string(c)));
+      driver.add_client(*clients.back(), seeder.fork());
       if (obs.spans != nullptr) {
-        clients.back().client->set_trace_sample_every(
-            config.span_sample_every);
+        clients.back()->set_trace_sample_every(config.span_sample_every);
       }
     }
     if (wan_model) {
       assign_group_regions(*wan_model, sys->registry());
       for (std::size_t c = 0; c < clients.size(); ++c) {
-        wan_model->assign(clients[c].client->id(),
+        wan_model->assign(clients[c]->id(),
                           RegionId{static_cast<std::int32_t>(
                               c % wan_model->num_regions())});
       }
     }
-    std::vector<std::unique_ptr<OpenLoopDriver>> drivers;
+    // Open loop: ONE Poisson arrival process over the whole client
+    // population (statistically the superposition of per-client processes),
+    // or one per class when open_loop_local_share splits the rate. Each
+    // pacer is a scheduler event that fires one arrival and re-arms.
+    struct Pacer {
+      RateController controller;
+      DestClass cls;
+    };
+    std::vector<Pacer> pacers;
+    std::function<void(Pacer*)> arm = [&](Pacer* p) {
+      sim->scheduler().schedule_after(
+          p->controller.next_delay(sim->now()), [&arm, &driver, &sim, p,
+                                                 horizon] {
+            if (sim->now() >= horizon) return;
+            driver.fire(p->cls);
+            arm(p);
+          });
+    };
     if (config.open_loop_total_rate > 0.0) {
-      Rng driver_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+      Rng pacer_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+      const auto add_pacer = [&](double rate, DestClass cls) {
+        if (rate <= 0.0) return;
+        pacers.push_back(
+            Pacer{RateController(rate, pacer_rng.fork(), sim->now()), cls});
+      };
       const double total = config.open_loop_total_rate;
       if (config.open_loop_local_share >= 0.0) {
         const double share =
             std::min(1.0, std::max(0.0, config.open_loop_local_share));
-        const double local_rate = total * share;
-        const double global_rate = total - local_rate;
-        if (local_rate > 0.0) {
-          drivers.push_back(std::make_unique<OpenLoopDriver>(
-              clients, sinks, *sim, config.payload_size, local_rate,
-              driver_rng.fork(), OpenLoopDriver::Class::kLocal));
-        }
-        if (global_rate > 0.0) {
-          drivers.push_back(std::make_unique<OpenLoopDriver>(
-              clients, sinks, *sim, config.payload_size, global_rate,
-              driver_rng.fork(), OpenLoopDriver::Class::kGlobal));
-        }
+        add_pacer(total * share, DestClass::kLocal);
+        add_pacer(total - total * share, DestClass::kGlobal);
       } else {
-        drivers.push_back(std::make_unique<OpenLoopDriver>(
-            clients, sinks, *sim, config.payload_size, total,
-            driver_rng.fork(), OpenLoopDriver::Class::kPattern));
+        add_pacer(total, DestClass::kPattern);
       }
-      for (auto& d : drivers) d->arm();
+      for (Pacer& p : pacers) arm(&p);
     } else {
-      for (auto& slot : clients) slot.issue(sinks, *sim, config.payload_size);
+      driver.start_closed_loop();
     }
     sim->run_until(horizon);
 
@@ -437,10 +354,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
+  ClientDriver::Sinks& sinks = driver.sinks();
+  result.completed = driver.completed();
   result.throughput = sinks.all.rate_per_sec(config.warmup, horizon);
   result.throughput_local = sinks.local.rate_per_sec(config.warmup, horizon);
   result.throughput_global =
       sinks.global.rate_per_sec(config.warmup, horizon);
+  result.latency_all = std::move(sinks.latency_all);
+  result.latency_local = std::move(sinks.latency_local);
+  result.latency_global = std::move(sinks.latency_global);
   if (obs.metrics != nullptr) {
     // Sampled completion-rate timeseries over the measurement window — the
     // "throughput over time" view that exposes when saturation sets in.

@@ -1,8 +1,10 @@
 // Experiment harness: builds one of the three protocols of §V-A3 (ByzCast
 // over a 2- or 3-level tree, the non-genuine Baseline, or plain BFT-SMaRt =
-// one atomic broadcast group), drives it with closed-loop clients in a LAN
-// or the paper's 4-region EC2 WAN, and reports throughput and latency
-// statistics split by message class (local / global).
+// one atomic broadcast group) in a LAN or the paper's 4-region EC2 WAN,
+// drives it through workload::ClientDriver — the paper's closed-loop
+// clients, or open-loop Poisson arrivals at a set rate (the repository
+// benchmark's mode) — and reports throughput and latency statistics split
+// by message class (local / global).
 #pragma once
 
 #include <cstdint>

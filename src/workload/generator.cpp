@@ -4,6 +4,29 @@
 
 namespace byzcast::workload {
 
+namespace {
+
+std::vector<GroupId> uniform_pair(Rng& rng,
+                                  const std::vector<GroupId>& targets) {
+  const auto n = targets.size();
+  const auto i = static_cast<std::size_t>(rng.next_below(n));
+  auto j = static_cast<std::size_t>(rng.next_below(n - 1));
+  if (j >= i) ++j;
+  return {targets[i], targets[j]};
+}
+
+}  // namespace
+
+std::vector<GroupId> pair_or_single(Rng& rng,
+                                    const std::vector<GroupId>& targets,
+                                    double global_fraction) {
+  BZC_EXPECTS(!targets.empty());
+  if (targets.size() > 1 && rng.next_bool(global_fraction)) {
+    return uniform_pair(rng, targets);
+  }
+  return {targets[static_cast<std::size_t>(rng.next_below(targets.size()))]};
+}
+
 DestinationGenerator::DestinationGenerator(GeneratorConfig config,
                                            std::vector<GroupId> targets,
                                            std::size_t home)
@@ -27,14 +50,6 @@ DestinationGenerator::DestinationGenerator(GeneratorConfig config,
     BZC_EXPECTS(config_.zipf_s >= 0.0);
     zipf_.emplace(targets_.size(), config_.zipf_s);
   }
-}
-
-std::vector<GroupId> DestinationGenerator::uniform_pair(Rng& rng) const {
-  const auto n = targets_.size();
-  const auto i = static_cast<std::size_t>(rng.next_below(n));
-  auto j = static_cast<std::size_t>(rng.next_below(n - 1));
-  if (j >= i) ++j;
-  return {targets_[i], targets_[j]};
 }
 
 std::vector<GroupId> DestinationGenerator::fanout_uniform(Rng& rng) const {
@@ -93,10 +108,10 @@ std::vector<GroupId> DestinationGenerator::next_global(Rng& rng) {
       // uniform pair when possible (only reachable from misconfigured
       // per-class pacing; keep it total rather than assert).
       if (targets_.size() < 2) return {targets_[home_]};
-      return uniform_pair(rng);
+      return uniform_pair(rng, targets_);
     case Pattern::kGlobalUniformPairs:
     case Pattern::kMixed:
-      return uniform_pair(rng);
+      return uniform_pair(rng, targets_);
   }
   BZC_ASSERT(false);
   return {};
@@ -107,7 +122,7 @@ std::vector<GroupId> DestinationGenerator::next(Rng& rng) {
     case Pattern::kLocalOnly:
       return {targets_[home_]};
     case Pattern::kGlobalUniformPairs:
-      return uniform_pair(rng);
+      return uniform_pair(rng, targets_);
     case Pattern::kGlobalSkewedPairs:
     case Pattern::kGlobalFanout:
       return next_global(rng);

@@ -61,7 +61,6 @@ class DestinationGenerator {
   [[nodiscard]] std::vector<GroupId> next_global(Rng& rng);
 
  private:
-  [[nodiscard]] std::vector<GroupId> uniform_pair(Rng& rng) const;
   [[nodiscard]] std::vector<GroupId> fanout_uniform(Rng& rng) const;
   [[nodiscard]] std::vector<GroupId> zipf_single(Rng& rng) const;
   [[nodiscard]] std::vector<GroupId> zipf_fanout(Rng& rng) const;
@@ -71,5 +70,13 @@ class DestinationGenerator {
   std::size_t home_;
   std::optional<ZipfSampler> zipf_;
 };
+
+/// The wall-clock benches' mix: with probability `global_fraction` a
+/// uniform pair of distinct `targets`, otherwise one uniform target (always
+/// one target when there is only one, without a Bernoulli draw). Draw order
+/// is next_bool, then next_below(n) and next_below(n - 1) for a pair or
+/// next_below(n) for a single target.
+[[nodiscard]] std::vector<GroupId> pair_or_single(
+    Rng& rng, const std::vector<GroupId>& targets, double global_fraction);
 
 }  // namespace byzcast::workload

@@ -8,18 +8,17 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
-#include "core/multicast.hpp"
 #include "core/properties.hpp"
 #include "net/config.hpp"
+#include "workload/driver.hpp"
 
 namespace byzcast::net {
 namespace {
@@ -50,76 +49,21 @@ ClusterConfig three_group_config() {
   return *cfg;
 }
 
-struct WorkloadResult {
-  int completed = 0;
-  std::vector<core::SentMessage> sent;
-};
-
-/// Drives `msgs_per_client` messages per client closed-loop on the client
-/// node's loop thread; `mid_run` (optional) fires once on the polling thread
-/// after a third of the total completed.
-WorkloadResult run_workload(InProcessCluster& cluster,
-                            std::vector<core::Client*> clients,
-                            int msgs_per_client, double global_fraction,
-                            const std::function<void()>& mid_run = {}) {
-  const int n_clients = static_cast<int>(clients.size());
-  const int total = n_clients * msgs_per_client;
-  const Bytes payload(64, std::uint8_t{0xab});
-  std::vector<int> issued_count(clients.size(), 0);
-  std::vector<std::vector<std::vector<GroupId>>> issued(clients.size());
-  std::atomic<int> done{0};
-  Rng rng(0x5eedULL);
-
-  // Everything below runs on the client node's loop thread (a_multicast is
-  // actor code), so the completion callback may re-issue directly.
-  std::function<void(int)> issue = [&](int c) {
-    auto& count = issued_count[static_cast<std::size_t>(c)];
-    if (count == msgs_per_client) return;
-    ++count;
-    std::vector<GroupId> dst;
-    if (rng.next_bool(global_fraction)) {
-      const auto a = static_cast<std::int32_t>(rng.next_below(3));
-      const auto b = static_cast<std::int32_t>(rng.next_below(2));
-      dst = {GroupId{a}, GroupId{b < a ? b : b + 1}};
-    } else {
-      dst = {GroupId{static_cast<std::int32_t>(rng.next_below(3))}};
-    }
-    core::MulticastMessage canon;
-    canon.dst = dst;
-    canon.canonicalize();
-    issued[static_cast<std::size_t>(c)].push_back(std::move(canon.dst));
-    clients[static_cast<std::size_t>(c)]->a_multicast(
-        std::move(dst), payload,
-        [&, c](const core::MulticastMessage&, Time) {
-          done.fetch_add(1);
-          issue(c);
-        });
-  };
-
-  cluster.client_node().env().post([&] {
-    for (int c = 0; c < n_clients; ++c) issue(c);
-  });
-
-  const auto deadline = std::chrono::steady_clock::now() + 120s;
-  bool mid_run_fired = false;
-  while (done.load() < total && std::chrono::steady_clock::now() < deadline) {
-    if (!mid_run_fired && mid_run && done.load() >= total / 3) {
-      mid_run_fired = true;
-      mid_run();
-    }
-    std::this_thread::sleep_for(2ms);
+/// Closed loop on the client node's loop thread: `msgs_per_client` messages
+/// per client, half of them to a random pair of groups. The driver must
+/// outlive the cluster's loop threads (stop the cluster first).
+std::unique_ptr<workload::ClientDriver> mixed_driver(
+    InProcessCluster& cluster, const std::vector<core::Client*>& clients,
+    std::uint64_t msgs_per_client) {
+  auto driver = std::make_unique<workload::ClientDriver>(
+      cluster.client_node().env(),
+      workload::ClientDriver::Options{.per_client_cap = msgs_per_client},
+      workload::pair_draw({GroupId{0}, GroupId{1}, GroupId{2}}, 0.5));
+  Rng seeder(0x5eedULL);
+  for (core::Client* client : clients) {
+    driver->add_client(*client, seeder.fork());
   }
-
-  WorkloadResult result;
-  result.completed = done.load();
-  for (std::size_t c = 0; c < clients.size(); ++c) {
-    for (std::size_t k = 0; k < issued[c].size(); ++k) {
-      result.sent.push_back(core::SentMessage{
-          MessageId{clients[c]->id(), static_cast<std::uint64_t>(k)},
-          issued[c][k]});
-    }
-  }
-  return result;
+  return driver;
 }
 
 /// Completion needs only f+1 replies per group; a straggler replica may
@@ -147,16 +91,17 @@ TEST(InProcessClusterTest, MixedWorkloadSatisfiesProperties) {
   InProcessCluster cluster(three_group_config());
   std::vector<core::Client*> clients{&cluster.add_client("c0"),
                                      &cluster.add_client("c1")};
+  const auto driver = mixed_driver(cluster, clients, /*msgs_per_client=*/25);
   cluster.start();
 
-  const WorkloadResult r =
-      run_workload(cluster, clients, /*msgs_per_client=*/25,
-                   /*global_fraction=*/0.5);
-  EXPECT_EQ(r.completed, 50);
+  driver->start_closed_loop();
+  driver->await_completed(50, 120s);
+  EXPECT_EQ(driver->completed(), 50u);
   wait_quiescent(cluster);
   cluster.stop();
 
-  const core::PropertyResult verdict = cluster.check_properties(r.sent);
+  const core::PropertyResult verdict =
+      cluster.check_properties(driver->sent());
   EXPECT_TRUE(verdict.ok) << verdict.error;
   EXPECT_EQ(cluster.total_monitor_violations(), 0u);
   // Every delivery a correct replica logged really happened over TCP or a
@@ -178,20 +123,23 @@ TEST(InProcessClusterTest, MixedWorkloadSatisfiesProperties) {
 TEST(InProcessClusterTest, SurvivesKillingOneReplicaMidRun) {
   InProcessCluster cluster(three_group_config());
   std::vector<core::Client*> clients{&cluster.add_client("c0")};
+  const auto driver = mixed_driver(cluster, clients, /*msgs_per_client=*/30);
   cluster.start();
 
-  const WorkloadResult r = run_workload(
-      cluster, clients, /*msgs_per_client=*/30, /*global_fraction=*/0.5,
-      /*mid_run=*/[&] { cluster.kill_replica(GroupId{1}, 3); });
+  driver->start_closed_loop();
+  // Kill a replica once a third of the messages completed.
+  if (driver->await_completed(10, 120s)) cluster.kill_replica(GroupId{1}, 3);
+  driver->await_completed(30, 120s);
   // f=1: with one of g1's four replicas dead, the remaining three still
   // form quorums and give the client its f+1 matching replies.
-  EXPECT_EQ(r.completed, 30);
+  EXPECT_EQ(driver->completed(), 30u);
   wait_quiescent(cluster);
   cluster.stop();
 
   // The killed seat is excluded from the correct set; everyone else must
   // still agree on a single per-group total order.
-  const core::PropertyResult verdict = cluster.check_properties(r.sent);
+  const core::PropertyResult verdict =
+      cluster.check_properties(driver->sent());
   EXPECT_TRUE(verdict.ok) << verdict.error;
   EXPECT_EQ(cluster.total_monitor_violations(), 0u);
 }

@@ -111,5 +111,35 @@ TEST(GoldenSameSeed, WanSweepSettings) {
   EXPECT_EQ(o.cdf_digest, "cce9d7f0ada547f9");
 }
 
+/// ROADMAP's fault-free bar on both golden settings: the replica counters
+/// the run exports show no view change, state transfer or dropped PROPOSE
+/// (zero counters are not published, so an absent name counts as 0).
+TEST(Experiment, FaultFreeRunInstallsNoViews) {
+  for (const auto& [spec_text, real_macs] :
+       {std::pair{kLanSpec, true}, std::pair{kWanSpec, false}}) {
+    std::string err;
+    const auto spec = parse_workload_spec(*Json::parse(spec_text, &err), &err);
+    ASSERT_TRUE(spec.has_value()) << err;
+    ExperimentConfig cfg = spec->base;
+    cfg.open_loop_total_rate = spec->schedule.fixed_rate;
+    cfg.real_macs = real_macs;
+    const ExperimentResult res = run_experiment(cfg);
+    ASSERT_NE(res.metrics, nullptr);
+
+    const auto sum = [&res](const std::string& field) {
+      const std::string prefix = "replica." + field + ".";
+      std::uint64_t total = 0;
+      for (const auto& [name, counter] : res.metrics->counters()) {
+        if (name.rfind(prefix, 0) == 0) total += counter.value();
+      }
+      return total;
+    };
+    EXPECT_EQ(sum("views_installed"), 0u) << spec->name;
+    EXPECT_EQ(sum("state_transfers"), 0u) << spec->name;
+    EXPECT_EQ(sum("out_of_window_proposals"), 0u) << spec->name;
+    EXPECT_GT(sum("proposals_made"), 0u) << spec->name;  // the export ran
+  }
+}
+
 }  // namespace
 }  // namespace byzcast::workload
