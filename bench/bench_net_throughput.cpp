@@ -46,11 +46,32 @@ struct BackendResult {
   std::uint64_t deliveries = 0;
   bool properties_ok = false;
   std::string properties_error;
-  // net only
+  // net only: summed over the replica nodes' registries
   std::uint64_t wire_messages = 0;
   std::uint64_t wire_bytes = 0;
   std::uint64_t reconnects = 0;
+  std::uint64_t views_installed = 0;
+  std::uint64_t state_transfers = 0;
+  std::uint64_t snapshot_restores = 0;
 };
+
+using Counters = bft::Replica::Counters;
+using TransportStats = net::Transport::Stats;
+
+/// Sum over `nodes` of every counter whose name starts with `prefix`.
+std::uint64_t sum_counters(const std::vector<MetricsRegistry*>& nodes,
+                           const std::string& prefix) {
+  std::uint64_t total = 0;
+  for (const MetricsRegistry* reg : nodes) total += reg->counter_sum(prefix);
+  return total;
+}
+
+/// The catch-up counters a net row and its FAIL: line carry.
+std::string catch_ups(const BackendResult& r) {
+  return "views_installed=" + std::to_string(r.views_installed) +
+         " state_transfers=" + std::to_string(r.state_transfers) +
+         " snapshot_restores=" + std::to_string(r.snapshot_restores);
+}
 
 net::ClusterConfig cluster_config() {
   std::string text = R"({"name": "bench", "f": 1, "seed": 29, "groups": [)";
@@ -192,16 +213,35 @@ BackendResult run_net(const net::ClusterConfig& cfg,
   r.backend = backend_name;
   fill_client_side(r, driver, t0, t1);
   r.deliveries = cluster.total_deliveries();
+  cluster.stop();
+
+  // Every replica node publishes its own seat and transport, as on a
+  // /metrics scrape; the loops are stopped, so the reads are race-free.
+  std::vector<MetricsRegistry*> nodes;
   for (int g = 0; g < 3; ++g) {
     for (int i = 0; i < 4; ++i) {
-      const auto& ts =
-          cluster.replica_node(GroupId{g}, i).env().transport().stats();
-      r.wire_messages += ts.messages_sent;
-      r.wire_bytes += ts.bytes_sent;
-      r.reconnects += ts.reconnects;
+      net::ClusterNode& node = cluster.replica_node(GroupId{g}, i);
+      node.refresh_net_metrics();
+      nodes.push_back(&node.metrics());
     }
   }
-  cluster.stop();
+  const auto transport = [&](std::uint64_t TransportStats::*field) {
+    return sum_counters(nodes, std::string("net.transport.") +
+                                   stat_name(net::Transport::kStatFields,
+                                             field));
+  };
+  r.wire_messages = transport(&TransportStats::messages_sent);
+  r.wire_bytes = transport(&TransportStats::bytes_sent);
+  r.reconnects = transport(&TransportStats::reconnects);
+  const auto replica = [&](std::uint64_t Counters::*field) {
+    return sum_counters(nodes, std::string("replica.") +
+                                   stat_name(bft::Replica::kCounterFields,
+                                             field) +
+                                   ".");
+  };
+  r.views_installed = replica(&Counters::views_installed);
+  r.state_transfers = replica(&Counters::state_transfers);
+  r.snapshot_restores = replica(&Counters::snapshot_restores);
 
   core::PropertyResult verdict = cluster.check_properties(driver.sent());
   if (verdict.ok && cluster.total_monitor_violations() > 0) {
@@ -236,7 +276,10 @@ void write_bench_json(const std::vector<BackendResult>& results) {
     if (r.backend != "runtime") {
       out << ",\"wire_messages\":" << r.wire_messages
           << ",\"wire_bytes\":" << r.wire_bytes
-          << ",\"reconnects\":" << r.reconnects;
+          << ",\"reconnects\":" << r.reconnects
+          << ",\"views_installed\":" << r.views_installed
+          << ",\"state_transfers\":" << r.state_transfers
+          << ",\"snapshot_restores\":" << r.snapshot_restores;
     }
     out << "}";
   }
@@ -293,19 +336,28 @@ int main() {
       (unsigned long long)nr.wire_messages,
       static_cast<double>(nr.wire_bytes) / (1024.0 * 1024.0),
       (unsigned long long)nr.reconnects);
+  for (const BackendResult& r : results) {
+    if (r.backend != "runtime") {
+      std::printf("%s catch-ups: %s\n", r.backend.c_str(),
+                  catch_ups(r).c_str());
+    }
+  }
 
   write_bench_json(results);
 
   int failures = 0;
   for (const BackendResult& r : results) {
+    const std::string counters =
+        r.backend == "runtime" ? "" : " (" + catch_ups(r) + ")";
     if (r.completed != kClients * kMsgsPerClient) {
-      std::printf("FAIL: %s backend completed %d/%d\n", r.backend.c_str(),
-                  r.completed, kClients * kMsgsPerClient);
+      std::printf("FAIL: %s backend completed %d/%d%s\n", r.backend.c_str(),
+                  r.completed, kClients * kMsgsPerClient, counters.c_str());
       ++failures;
     }
     if (!r.properties_ok) {
-      std::printf("FAIL: %s backend violates properties: %s\n",
-                  r.backend.c_str(), r.properties_error.c_str());
+      std::printf("FAIL: %s backend violates properties: %s%s\n",
+                  r.backend.c_str(), r.properties_error.c_str(),
+                  counters.c_str());
       ++failures;
     }
   }

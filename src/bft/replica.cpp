@@ -1200,6 +1200,18 @@ void Replica::handle_state_response(const sim::WireMessage& msg, Reader& r) {
   try_apply_state();
 }
 
+std::string Replica::metrics_label() const {
+  return to_string(group_) + ".r" + std::to_string(index_);
+}
+
+void Replica::publish_counters(MetricsRegistry& reg) const {
+  const std::string suffix = "." + metrics_label();
+  reg.counter("replica.executed" + suffix).raise_to(executed_requests());
+  reg.counter("replica.decided" + suffix).raise_to(decided_instances());
+  publish(reg, kCounterFields, counters_, "replica.", suffix,
+          /*skip_zero=*/true);
+}
+
 void Replica::try_apply_state() {
   const auto needed = static_cast<std::size_t>(f_ + 1);
   if (state_responses_.size() < needed) return;
@@ -1217,6 +1229,8 @@ void Replica::try_apply_state() {
         if (resp2.has_snapshot && resp2.snapshot_instance == key.first &&
             Sha256::hash(resp2.snapshot) == key.second) {
           // Restore replica-local durable state.
+          ++counters_.snapshot_restores;
+          counters_.snapshot_skipped_instances += key.first - next_instance_;
           restore_snapshot(resp2.snapshot);
           next_instance_ = key.first;
           log_base_ = key.first;

@@ -142,8 +142,34 @@ class Replica final : public sim::Actor, public ReplicaContext {
     std::uint64_t deferred_execs = 0;     // requests sharded to exec stage
     std::uint64_t out_of_window_proposals = 0;  // PROPOSEs past the pipeline
                                                 // window, dropped
+    std::uint64_t snapshot_restores = 0;  // checkpoints adopted by a laggard
+    std::uint64_t snapshot_skipped_instances = 0;  // instances they jumped
+  };
+  /// Every Counters field by its published name.
+  static constexpr StatField<Counters> kCounterFields[] = {
+      {"views_installed", &Counters::views_installed},
+      {"state_transfers", &Counters::state_transfers},
+      {"proposals_made", &Counters::proposals_made},
+      {"checkpoints_taken", &Counters::checkpoints_taken},
+      {"rejected_requests", &Counters::rejected_requests},
+      {"early_batch_cuts", &Counters::early_batch_cuts},
+      {"timer_batch_cuts", &Counters::timer_batch_cuts},
+      {"stale_window_drops", &Counters::stale_window_drops},
+      {"buffered_decisions", &Counters::buffered_decisions},
+      {"staged_verifies", &Counters::staged_verifies},
+      {"deferred_execs", &Counters::deferred_execs},
+      {"out_of_window_proposals", &Counters::out_of_window_proposals},
+      {"snapshot_restores", &Counters::snapshot_restores},
+      {"snapshot_skipped_instances", &Counters::snapshot_skipped_instances},
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
+  /// "g<G>.r<I>": the label of this replica's per-replica metrics.
+  [[nodiscard]] std::string metrics_label() const;
+  /// Publishes replica.executed.<label> and replica.decided.<label>, then
+  /// every nonzero Counters field as replica.<name>.<label> (absent reads
+  /// as 0). Idempotent: the simulator calls it after a run, the runtime on
+  /// stop() and a net daemon on every /metrics scrape.
+  void publish_counters(MetricsRegistry& reg) const;
 
   /// Open (proposed, not yet applied) instances right now (tests).
   [[nodiscard]] std::size_t open_instances() const { return open_.size(); }

@@ -8,6 +8,11 @@
 
 namespace byzcast {
 
+void Counter::raise_to(std::uint64_t v) {
+  const std::uint64_t before = value_.exchange(v, std::memory_order_relaxed);
+  BZC_EXPECTS(before <= v);
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
   BZC_EXPECTS(std::is_sorted(bounds_.begin(), bounds_.end()));
@@ -63,6 +68,15 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 Timeseries& MetricsRegistry::timeseries(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   return timeseries_[name];
+}
+
+std::uint64_t MetricsRegistry::counter_sum(std::string_view prefix) const {
+  std::uint64_t total = 0;
+  for (auto it = counters_.lower_bound(std::string(prefix));
+       it != counters_.end() && it->first.starts_with(prefix); ++it) {
+    total += it->second.value();
+  }
+  return total;
 }
 
 namespace {

@@ -21,6 +21,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,9 @@ class Counter {
   void inc(std::uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
+  /// Raises the count to `v`, a total kept elsewhere (see publish()):
+  /// the same total twice is a no-op, one that went down aborts.
+  void raise_to(std::uint64_t v);
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
@@ -128,6 +132,10 @@ class MetricsRegistry {
     return timeseries_;
   }
 
+  /// Sum of every counter whose name starts with `prefix` (e.g.
+  /// "replica.views_installed." over all replicas). Read after recording.
+  [[nodiscard]] std::uint64_t counter_sum(std::string_view prefix) const;
+
   /// Whole registry as a JSON object string (hand-rolled; no dependencies).
   /// Timeseries times are exported in fractional milliseconds.
   [[nodiscard]] std::string to_json() const;
@@ -139,5 +147,48 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, Timeseries> timeseries_;
 };
+
+/// One field of a stats struct and the name it is published under; each
+/// struct keeps one table of these beside its definition. Counter fields
+/// are totals that only grow; `gauge` marks a level.
+template <typename Stats>
+struct StatField {
+  const char* name;
+  std::uint64_t Stats::*field;
+  bool gauge = false;
+};
+
+/// The name `table` publishes `field` under (nullptr when it has none).
+template <typename Stats, std::size_t N>
+constexpr const char* stat_name(const StatField<Stats> (&table)[N],
+                                std::uint64_t Stats::*field) {
+  for (const StatField<Stats>& f : table) {
+    if (f.field == field) return f.name;
+  }
+  return nullptr;
+}
+
+/// Publishes every field of `table`, read from `stats`, as
+/// <prefix><name><suffix>. Counters are raised to the field's value, so a
+/// post-run export and a per-scrape refresh share this routine. With
+/// `skip_zero`, fields at 0 stay absent (and read as 0): the simulator's
+/// set-up time pays for every map insert.
+template <typename Stats, std::size_t N>
+void publish(MetricsRegistry& reg, const StatField<Stats> (&table)[N],
+             const Stats& stats, std::string_view prefix,
+             std::string_view suffix = {}, bool skip_zero = false) {
+  for (const StatField<Stats>& f : table) {
+    const std::uint64_t v = stats.*f.field;
+    if (skip_zero && v == 0) continue;
+    std::string name(prefix);
+    name += f.name;
+    name += suffix;
+    if (f.gauge) {
+      reg.gauge(name).set(static_cast<double>(v));
+    } else {
+      reg.counter(name).raise_to(v);
+    }
+  }
+}
 
 }  // namespace byzcast

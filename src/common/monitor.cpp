@@ -16,12 +16,10 @@ void MonitorHub::on_a_deliver(GroupId group, ProcessId replica,
   const auto [fit, fresh] = fifo_last_.try_emplace(key, msg.seq);
   if (!fresh) {
     if (msg.seq <= fit->second) {
-      report(Violation{"fifo", group, replica, msg, when,
-                       "seq " + std::to_string(msg.seq) +
-                           " a-delivered after seq " +
-                           std::to_string(fit->second) + " of the same " +
-                           to_string(msg.origin) + " stream via " +
-                           to_string(entry)});
+      report(Monitor::kFifo, group, replica, msg, when,
+             "seq " + std::to_string(msg.seq) + " a-delivered after seq " +
+                 std::to_string(fit->second) + " of the same " +
+                 to_string(msg.origin) + " stream via " + to_string(entry));
     } else {
       fit->second = msg.seq;
     }
@@ -33,10 +31,10 @@ void MonitorHub::on_a_deliver(GroupId group, ProcessId replica,
   auto& pos = replica_pos_[replica];
   if (pos < agreed.size()) {
     if (!(agreed[pos] == msg)) {
-      report(Violation{"group_agreement", group, replica, msg, when,
-                       "position " + std::to_string(pos) + " delivered " +
-                           to_string(msg) + " but a peer delivered " +
-                           to_string(agreed[pos])});
+      report(Monitor::kGroupAgreement, group, replica, msg, when,
+             "position " + std::to_string(pos) + " delivered " +
+                 to_string(msg) + " but a peer delivered " +
+                 to_string(agreed[pos]));
     }
   } else {
     agreed.push_back(msg);
@@ -52,10 +50,9 @@ void MonitorHub::on_a_deliver(GroupId group, ProcessId replica,
     const std::uint32_t u = dag_node(prev);
     const std::uint32_t v = dag_node(msg);
     if (!dag_add_edge(u, v)) {
-      report(Violation{"acyclic_order", group, replica, msg, when,
-                       "a-delivering " + to_string(msg) + " after " +
-                           to_string(prev) +
-                           " closes a cycle in the global delivery order"});
+      report(Monitor::kAcyclicOrder, group, replica, msg, when,
+             "a-delivering " + to_string(msg) + " after " + to_string(prev) +
+                 " closes a cycle in the global delivery order");
     }
   }
 }
@@ -64,10 +61,10 @@ void MonitorHub::on_pending_copies(GroupId group, ProcessId replica,
                                    std::size_t pending, Time when) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (pending_bound_ == 0 || pending <= pending_bound_) return;
-  report(Violation{"bounded_pending", group, replica, MessageId{}, when,
-                   std::to_string(pending) +
-                       " messages below the f+1 copy threshold (bound " +
-                       std::to_string(pending_bound_) + ")"});
+  report(Monitor::kBoundedPending, group, replica, MessageId{}, when,
+         std::to_string(pending) +
+             " messages below the f+1 copy threshold (bound " +
+             std::to_string(pending_bound_) + ")");
 }
 
 std::uint32_t MonitorHub::dag_node(const MessageId& msg) {
@@ -149,25 +146,32 @@ bool MonitorHub::dag_add_edge(std::uint32_t u, std::uint32_t v) {
   return true;
 }
 
-void MonitorHub::report(Violation v) {
-  ++counts_[v.monitor];
+void MonitorHub::report(Monitor monitor, GroupId group, ProcessId replica,
+                        const MessageId& msg, Time when, std::string detail) {
+  const auto index = static_cast<std::size_t>(monitor);
+  ++counts_.by_monitor[index];
+  ++counts_.total;
+  const std::string name = kMonitorNames[index];
   if (metrics_ != nullptr) {
-    metrics_->counter("monitor.violations." + v.monitor).inc();
+    metrics_->counter("monitor.violations." + name).inc();
   }
-  if (detailed_.size() < kMaxDetailedViolations) detailed_.push_back(std::move(v));
+  if (detailed_.size() < kMaxDetailedViolations) {
+    detailed_.push_back(
+        Violation{name, group, replica, msg, when, std::move(detail)});
+  }
 }
 
-std::uint64_t MonitorHub::total_violations() const {
+MonitorCounts MonitorHub::counts() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& [name, n] : counts_) total += n;
-  return total;
+  return counts_;
 }
 
 std::uint64_t MonitorHub::violations(const std::string& monitor) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = counts_.find(monitor);
-  return it == counts_.end() ? 0 : it->second;
+  for (std::size_t i = 0; i < std::size(kMonitorNames); ++i) {
+    if (monitor == kMonitorNames[i]) return counts_.by_monitor[i];
+  }
+  return 0;
 }
 
 std::vector<Violation> MonitorHub::detailed_violations() const {

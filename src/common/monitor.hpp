@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -40,9 +41,26 @@ namespace byzcast {
 
 class MetricsRegistry;
 
+/// The four monitors, each by the name its violations are counted under
+/// (`monitor.violations.<name>`, /healthz and sidecar keys).
+enum class Monitor : std::uint8_t {
+  kFifo,
+  kGroupAgreement,
+  kAcyclicOrder,
+  kBoundedPending
+};
+inline constexpr const char* kMonitorNames[] = {
+    "fifo", "group_agreement", "acyclic_order", "bounded_pending"};
+
+/// Violations per monitor, in kMonitorNames order, and their sum.
+struct MonitorCounts {
+  std::uint64_t total = 0;
+  std::uint64_t by_monitor[std::size(kMonitorNames)] = {};
+};
+
 /// One detected invariant violation.
 struct Violation {
-  std::string monitor;  // "fifo", "group_agreement", "acyclic_order", ...
+  std::string monitor;  // one of kMonitorNames
   GroupId group;
   ProcessId replica;
   MessageId msg;
@@ -74,12 +92,16 @@ class MonitorHub {
                          Time when);
 
   // --- readers (thread-safe) ------------------------------------------------
-  [[nodiscard]] std::uint64_t total_violations() const;
+  [[nodiscard]] MonitorCounts counts() const;
+  [[nodiscard]] std::uint64_t total_violations() const {
+    return counts().total;
+  }
   [[nodiscard]] std::uint64_t violations(const std::string& monitor) const;
   [[nodiscard]] std::vector<Violation> detailed_violations() const;
 
  private:
-  void report(Violation v);
+  void report(Monitor monitor, GroupId group, ProcessId replica,
+              const MessageId& msg, Time when, std::string detail);
 
   // fifo: last seq seen per (replica, origin, entry group).
   struct StreamKey {
@@ -122,7 +144,7 @@ class MonitorHub {
   std::vector<DagNode> dag_;
   std::uint64_t next_ord_ = 0;
 
-  std::unordered_map<std::string, std::uint64_t> counts_;
+  MonitorCounts counts_;
   std::deque<Violation> detailed_;
 };
 

@@ -1,6 +1,8 @@
 #include "core/critical_path.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <ostream>
 
 namespace byzcast::core {
 
@@ -244,6 +246,107 @@ CriticalPathAnalyzer::edge_latency() const {
     out.emplace(edge, stats_of(samples));
   }
   return out;
+}
+
+namespace {
+
+void json_components(std::ostream& out, const Components& c) {
+  out << "{\"queueing_ns\":" << c.queueing << ",\"cpu_ns\":" << c.cpu
+      << ",\"network_ns\":" << c.network << ",\"quorum_wait_ns\":"
+      << c.quorum_wait << "}";
+}
+
+void json_pcts(std::ostream& out, const PercentileStats& s) {
+  out << "{\"n\":" << s.n << ",\"p50_ns\":" << s.p50 << ",\"p99_ns\":"
+      << s.p99 << "}";
+}
+
+void json_aggregate(std::ostream& out, const ClassAggregate& a) {
+  const std::pair<const char*, const PercentileStats*> fields[] = {
+      {"end_to_end", &a.end_to_end}, {"queueing", &a.queueing},
+      {"cpu", &a.cpu}, {"network", &a.network},
+      {"quorum_wait", &a.quorum_wait}};
+  out << "{\"n\":" << a.n;
+  for (const auto& [name, stats] : fields) {
+    out << ",\"" << name << "\":";
+    json_pcts(out, *stats);
+  }
+  out << "}";
+}
+
+}  // namespace
+
+void write_hops_json(std::ostream& out, const std::vector<HopBreakdown>& hops) {
+  out << "[";
+  bool first = true;
+  for (const auto& h : hops) {
+    if (!first) out << ",";
+    first = false;
+    out << "{\"group\":" << h.group.value << ",\"replica\":"
+        << h.replica.value << ",\"components\":";
+    json_components(out, h.components);
+    out << "}";
+  }
+  out << "]";
+}
+
+void write_spans_v1(std::ostream& out, const CriticalPathAnalyzer& analyzer,
+                    int f, std::size_t spans_recorded,
+                    std::uint64_t spans_dropped,
+                    const std::optional<MonitorCounts>& monitors) {
+  out << "{\"schema\":\"byzcast-spans-v1\"";
+  out << ",\"f\":" << f;
+  out << ",\"spans_recorded\":" << spans_recorded;
+  out << ",\"spans_dropped\":" << spans_dropped;
+
+  out << ",\"messages\":[";
+  bool first = true;
+  for (const auto& m : analyzer.messages()) {
+    if (!first) out << ",";
+    first = false;
+    out << "{\"id\":\"" << to_string(m.id) << "\",\"complete\":"
+        << (m.complete ? "true" : "false") << ",\"dst_count\":" << m.dst_count
+        << ",\"global\":" << (m.is_global ? "true" : "false")
+        << ",\"submitted_ns\":" << m.submitted << ",\"end_to_end_ns\":"
+        << m.end_to_end;
+    if (m.complete) {
+      out << ",\"critical_dst\":" << m.critical_dst.value << ",\"totals\":";
+      json_components(out, m.totals);
+      out << ",\"hops\":";
+      write_hops_json(out, m.hops);
+    }
+    out << "}";
+  }
+  out << "]";
+
+  out << ",\"aggregates\":{\"local\":";
+  json_aggregate(out, analyzer.aggregate(/*global=*/false));
+  out << ",\"global\":";
+  json_aggregate(out, analyzer.aggregate(/*global=*/true));
+  out << "}";
+
+  out << ",\"edges\":[";
+  first = true;
+  for (const auto& [edge, stats] : analyzer.edge_latency()) {
+    if (!first) out << ",";
+    first = false;
+    out << "{\"parent\":" << edge.first.value << ",\"child\":"
+        << edge.second.value << ",\"stats\":";
+    json_pcts(out, stats);
+    out << "}";
+  }
+  out << "]";
+
+  out << ",\"monitor\":";
+  if (!monitors) {
+    out << "null";
+    return;
+  }
+  out << "{\"violations_total\":" << monitors->total;
+  for (std::size_t i = 0; i < std::size(kMonitorNames); ++i) {
+    out << ",\"" << kMonitorNames[i] << "\":" << monitors->by_monitor[i];
+  }
+  out << "}";
 }
 
 }  // namespace byzcast::core

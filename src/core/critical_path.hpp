@@ -15,10 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/monitor.hpp"
 #include "common/span.hpp"
 #include "common/types.hpp"
 
@@ -118,5 +121,18 @@ class CriticalPathAnalyzer {
   /// Ordering-to-ordering latency samples per (parent, child) path edge.
   std::map<std::pair<GroupId, GroupId>, std::vector<Time>> edge_samples_;
 };
+
+/// Writes `hops` as a JSON array of {group, replica, components}.
+void write_hops_json(std::ostream& out, const std::vector<HopBreakdown>& hops);
+
+/// Writes `analyzer`'s result as a "byzcast-spans-v1" JSON document: its
+/// messages, class aggregates, per-edge latencies and the monitor section
+/// (null without `monitors`). The closing brace is left to the caller, so
+/// it can append sections of its own. workload::write_span_sidecar and the
+/// cluster collector's merged sidecar both write through here.
+void write_spans_v1(std::ostream& out, const CriticalPathAnalyzer& analyzer,
+                    int f, std::size_t spans_recorded,
+                    std::uint64_t spans_dropped,
+                    const std::optional<MonitorCounts>& monitors);
 
 }  // namespace byzcast::core

@@ -4,7 +4,8 @@
 //
 //   byzcast-ctl status --config FILE
 //       One line of /healthz per process (view, decided instances,
-//       deliveries, monitor violations).
+//       deliveries, monitor violations), plus views installed, state
+//       transfers and snapshot restores for each replica seat.
 //   byzcast-ctl scrape --config FILE --out DIR
 //       Saves every process's raw endpoints: prom_<node>.txt,
 //       spans_<node>.json, healthz_<node>.json.
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bft/replica.hpp"
 #include "net/collector.hpp"
 #include "net/config.hpp"
 
@@ -51,6 +53,12 @@ bool save(const std::string& path, const std::string& body,
   return true;
 }
 
+/// The replica counters `status` shows: the catch-up paths behind a stall.
+using Counters = bft::Replica::Counters;
+constexpr std::uint64_t Counters::*kStatusCounters[] = {
+    &Counters::views_installed, &Counters::state_transfers,
+    &Counters::snapshot_restores};
+
 int cmd_status(const ClusterConfig& cfg, int timeout_ms) {
   bool all_ok = true;
   for (const ScrapeTarget& t : introspect_targets(cfg)) {
@@ -64,7 +72,7 @@ int cmd_status(const ClusterConfig& cfg, int timeout_ms) {
     }
     std::printf(
         "%-8s up    view=%lld decided=%lld open=%lld deliveries=%lld "
-        "spans=%lld violations=%lld\n",
+        "spans=%lld violations=%lld",
         t.name.c_str(), static_cast<long long>(h->int_or("view", -1)),
         static_cast<long long>(h->int_or("decided_instances", -1)),
         static_cast<long long>(h->int_or("open_instances", -1)),
@@ -72,6 +80,15 @@ int cmd_status(const ClusterConfig& cfg, int timeout_ms) {
         static_cast<long long>(h->int_or("spans_recorded", 0)),
         static_cast<long long>(
             h->get("monitor").int_or("violations_total", 0)));
+    const Json& counters = h->get("counters");
+    if (counters.is_object()) {
+      for (const auto field : kStatusCounters) {
+        const char* name = stat_name(bft::Replica::kCounterFields, field);
+        std::printf(" %s=%lld", name,
+                    static_cast<long long>(counters.int_or(name, 0)));
+      }
+    }
+    std::printf("\n");
   }
   return all_ok ? 0 : 1;
 }

@@ -85,7 +85,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
 }
 
 void write_artifacts(const Args& args, net::ClusterNode& node) {
-  node.refresh_net_metrics();  // registry JSON then carries the net.* gauges
+  node.refresh_net_metrics();
   const std::string name = node.node_name();
   net::DeliveryDump dump;
   dump.node = name;
@@ -97,34 +97,14 @@ void write_artifacts(const Args& args, net::ClusterNode& node) {
     std::fprintf(stderr, "byzcastd[%s]: %s\n", name.c_str(), error.c_str());
   }
 
-  // Metrics sidecar: the registry dumps itself as JSON; transport and env
-  // counters are appended by hand around it.
-  const auto tr = node.env().transport().stats();
-  const auto& es = node.env().stats();
+  // Metrics sidecar: the registry dumps itself as JSON (replica.*, and the
+  // transport and env stats as net.*).
   std::ofstream out(args.out_dir + "/metrics_" + name + ".json",
                     std::ios::trunc);
   if (out) {
     out << "{\"node\":\"" << name << "\""
         << ",\"monitor_violations\":" << dump.monitor_violations
         << ",\"deliveries\":" << dump.records.size()
-        << ",\"transport\":{"
-        << "\"messages_sent\":" << tr.messages_sent
-        << ",\"messages_received\":" << tr.messages_received
-        << ",\"bytes_sent\":" << tr.bytes_sent
-        << ",\"bytes_received\":" << tr.bytes_received
-        << ",\"dropped_no_route\":" << tr.dropped_no_route
-        << ",\"dropped_queue_full\":" << tr.dropped_queue_full
-        << ",\"dropped_decode\":" << tr.dropped_decode
-        << ",\"connect_attempts\":" << tr.connect_attempts
-        << ",\"reconnects\":" << tr.reconnects
-        << ",\"inbound_accepted\":" << tr.inbound_accepted
-        << ",\"inbound_resets\":" << tr.inbound_resets
-        << ",\"send_queue_high_water\":" << tr.send_queue_high_water << "}"
-        << ",\"env\":{"
-        << "\"local_deliveries\":" << es.local_deliveries
-        << ",\"remote_sends\":" << es.remote_sends
-        << ",\"ghost_send_drops\":" << es.ghost_send_drops
-        << ",\"no_actor_drops\":" << es.no_actor_drops << "}"
         << ",\"registry\":" << node.metrics().to_json() << "}\n";
   }
 }

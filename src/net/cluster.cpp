@@ -92,49 +92,34 @@ std::string ClusterNode::node_name() const {
          std::to_string(self_->replica);
 }
 
+namespace {
+
+constexpr const char* kAllPeersConnected = "all_peers_connected";
+
+}  // namespace
+
+const bft::Replica* ClusterNode::seat() const {
+  return self_ ? &system_->group(self_->group).replica(self_->replica)
+               : nullptr;
+}
+
 void ClusterNode::refresh_net_metrics() {
   const auto set = [this](const std::string& name, double v) {
     metrics_.gauge(name).set(v);
   };
-  const Transport::Stats ts = env_->transport().stats();
-  set("net.transport.messages_sent", static_cast<double>(ts.messages_sent));
-  set("net.transport.messages_received",
-      static_cast<double>(ts.messages_received));
-  set("net.transport.bytes_sent", static_cast<double>(ts.bytes_sent));
-  set("net.transport.bytes_received",
-      static_cast<double>(ts.bytes_received));
-  set("net.transport.dropped_no_route",
-      static_cast<double>(ts.dropped_no_route));
-  set("net.transport.dropped_queue_full",
-      static_cast<double>(ts.dropped_queue_full));
-  set("net.transport.dropped_decode", static_cast<double>(ts.dropped_decode));
-  set("net.transport.connect_attempts",
-      static_cast<double>(ts.connect_attempts));
-  set("net.transport.reconnects", static_cast<double>(ts.reconnects));
-  set("net.transport.inbound_accepted",
-      static_cast<double>(ts.inbound_accepted));
-  set("net.transport.inbound_resets", static_cast<double>(ts.inbound_resets));
-  set("net.transport.send_queue_high_water",
-      static_cast<double>(ts.send_queue_high_water));
-  set("net.transport.clock_pings_sent",
-      static_cast<double>(ts.clock_pings_sent));
-  set("net.transport.clock_pongs_received",
-      static_cast<double>(ts.clock_pongs_received));
-  set("net.transport.all_peers_connected",
-      env_->transport().all_peers_connected() ? 1.0 : 0.0);
-
-  const NetEnv::Stats es = env_->stats();
-  set("net.env.local_deliveries", static_cast<double>(es.local_deliveries));
-  set("net.env.remote_sends", static_cast<double>(es.remote_sends));
-  set("net.env.ghost_send_drops", static_cast<double>(es.ghost_send_drops));
-  set("net.env.no_actor_drops", static_cast<double>(es.no_actor_drops));
+  if (const bft::Replica* r = seat()) r->publish_counters(metrics_);
+  Transport& tr = env_->transport();
+  publish(metrics_, Transport::kStatFields, tr.stats(), "net.transport.");
+  set(std::string("net.transport.") + kAllPeersConnected,
+      tr.all_peers_connected() ? 1.0 : 0.0);
+  publish(metrics_, NetEnv::kStatFields, env_->stats(), "net.env.");
 
   set("net.spans.recorded", static_cast<double>(spans_.spans().size()));
   set("net.spans.dropped", static_cast<double>(spans_.dropped()));
 
   // Per-link clock sync (the transport-level half of the cross-process
   // timeline): one gauge triple per live connection with >= 1 sample.
-  for (const Transport::LinkClock& lc : env_->transport().link_clocks()) {
+  for (const Transport::LinkClock& lc : tr.link_clocks()) {
     if (!lc.pid.valid() || lc.samples == 0) continue;
     const std::string link =
         std::string(lc.outbound ? ".out.p" : ".in.p") +
@@ -161,14 +146,20 @@ Json ClusterNode::healthz_json() {
   h.set("node", Json::string(node_name()));
   h.set("now_ns", Json::number(env_->now()));
   h.set("is_replica", Json::boolean(self_.has_value()));
-  if (self_) {
-    const bft::Replica& r =
-        system_->group(self_->group).replica(self_->replica);
-    h.set("view", Json::number(r.view()));
-    h.set("decided_instances", Json::number(r.decided_instances()));
-    h.set("open_instances", Json::number(r.open_instances()));
-    h.set("executed_requests", Json::number(r.executed_requests()));
-    h.set("max_decided_batch", Json::number(r.max_decided_batch()));
+  if (const bft::Replica* r = seat()) {
+    // Progress reads both at the top level (v1) and in "counters", beside
+    // every Replica::Counters field.
+    Json counters = stats_json(bft::Replica::kCounterFields, r->counters());
+    const auto progress = [&](const char* key, std::uint64_t v) {
+      h.set(key, Json::number(v));
+      counters.set(key, Json::number(v));
+    };
+    h.set("view", Json::number(r->view()));
+    progress("decided_instances", r->decided_instances());
+    h.set("open_instances", Json::number(r->open_instances()));
+    progress("executed_requests", r->executed_requests());
+    h.set("max_decided_batch", Json::number(r->max_decided_batch()));
+    h.set("counters", std::move(counters));
   }
   const auto& records = system_->delivery_log().records();
   h.set("deliveries", Json::number(records.size()));
@@ -180,24 +171,16 @@ Json ClusterNode::healthz_json() {
   h.set("spans_recorded", Json::number(spans_.spans().size()));
   h.set("spans_dropped", Json::number(spans_.dropped()));
 
+  const MonitorCounts violations = monitors_.counts();
   Json mon = Json::object();
-  mon.set("violations_total", Json::number(monitors_.total_violations()));
-  mon.set("fifo", Json::number(monitors_.violations("fifo")));
-  mon.set("group_agreement",
-          Json::number(monitors_.violations("group_agreement")));
-  mon.set("acyclic_order", Json::number(monitors_.violations("acyclic_order")));
-  mon.set("bounded_pending",
-          Json::number(monitors_.violations("bounded_pending")));
+  mon.set("violations_total", Json::number(violations.total));
+  for (std::size_t i = 0; i < std::size(kMonitorNames); ++i) {
+    mon.set(kMonitorNames[i], Json::number(violations.by_monitor[i]));
+  }
   h.set("monitor", std::move(mon));
 
-  const Transport::Stats ts = env_->transport().stats();
-  Json tr = Json::object();
-  tr.set("messages_sent", Json::number(ts.messages_sent));
-  tr.set("messages_received", Json::number(ts.messages_received));
-  tr.set("dropped_no_route", Json::number(ts.dropped_no_route));
-  tr.set("dropped_queue_full", Json::number(ts.dropped_queue_full));
-  tr.set("reconnects", Json::number(ts.reconnects));
-  tr.set("all_peers_connected",
+  Json tr = stats_json(Transport::kStatFields, env_->transport().stats());
+  tr.set(kAllPeersConnected,
          Json::boolean(env_->transport().all_peers_connected()));
   h.set("transport", std::move(tr));
   return h;

@@ -36,6 +36,18 @@
 
 namespace byzcast::net {
 
+/// A stats struct as one JSON object keyed by its StatField table's names
+/// (/healthz, the loadgen summary).
+template <typename Stats, std::size_t N>
+[[nodiscard]] Json stats_json(const StatField<Stats> (&table)[N],
+                              const Stats& stats) {
+  Json j = Json::object();
+  for (const StatField<Stats>& f : table) {
+    j.set(f.name, Json::number(stats.*f.field));
+  }
+  return j;
+}
+
 struct NodeIdentity {
   GroupId group;
   int replica = 0;
@@ -78,8 +90,9 @@ class ClusterNode {
   }
   [[nodiscard]] IntrospectServer* introspect() { return introspect_.get(); }
 
-  /// Copies the transport / NetEnv / link-clock counters into the metrics
-  /// registry (gauges under net.*). Called by the /metrics handler before
+  /// Publishes the local seat's replica counters (replica.*; ghosts
+  /// publish nothing) and the transport / NetEnv / link-clock stats (net.*)
+  /// into the metrics registry. Called by the /metrics handler before
   /// rendering and by the daemon before writing artifacts.
   void refresh_net_metrics();
 
@@ -111,6 +124,9 @@ class ClusterNode {
   }
 
  private:
+  /// The replica this process owns; null for a client-only node.
+  [[nodiscard]] const bft::Replica* seat() const;
+
   ClusterConfig cfg_;
   std::optional<NodeIdentity> self_;
   ProcessId self_pid_;

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iterator>
 #include <memory>
 
+#include "common/monitor.hpp"
 #include "common/span_export.hpp"
 #include "core/critical_path.hpp"
 
@@ -292,36 +294,11 @@ std::vector<ScrapeTarget> introspect_targets(const ClusterConfig& cfg) {
 
 namespace {
 
-void json_components(std::ostream& out, const core::Components& c) {
-  out << "{\"queueing_ns\":" << c.queueing << ",\"cpu_ns\":" << c.cpu
-      << ",\"network_ns\":" << c.network
-      << ",\"quorum_wait_ns\":" << c.quorum_wait << "}";
-}
-
-void json_pcts(std::ostream& out, const core::PercentileStats& s) {
-  out << "{\"n\":" << s.n << ",\"p50_ns\":" << s.p50 << ",\"p99_ns\":" << s.p99
-      << "}";
-}
-
-void json_aggregate(std::ostream& out, const core::ClassAggregate& a) {
-  out << "{\"n\":" << a.n << ",\"end_to_end\":";
-  json_pcts(out, a.end_to_end);
-  out << ",\"queueing\":";
-  json_pcts(out, a.queueing);
-  out << ",\"cpu\":";
-  json_pcts(out, a.cpu);
-  out << ",\"network\":";
-  json_pcts(out, a.network);
-  out << ",\"quorum_wait\":";
-  json_pcts(out, a.quorum_wait);
-  out << "}";
-}
-
-/// The merged sidecar: byte-compatible with workload::write_span_sidecar's
-/// byzcast-spans-v1 (so check_trace.py / plot_benches.py consume it
-/// unchanged), with the monitor section fed from the /healthz scrapes and
-/// one extra "cluster" object describing the per-process captures and
-/// clock corrections.
+/// The merged sidecar: byzcast-spans-v1 as workload::write_span_sidecar
+/// writes it (so check_trace.py / plot_benches.py consume it unchanged),
+/// with the monitor section summed over the /healthz scrapes and one extra
+/// "cluster" object describing the per-process captures and clock
+/// corrections.
 bool write_merged_sidecar(const std::string& path, const SpanLog& log, int f,
                           const MergeResult& result,
                           const core::CriticalPathAnalyzer& analyzer,
@@ -329,88 +306,21 @@ bool write_merged_sidecar(const std::string& path, const SpanLog& log, int f,
   std::ofstream out(path);
   if (!out) return fail(error, "cannot write " + path);
 
-  out << "{\"schema\":\"" << kMergedSpansSchema << "\"";
-  out << ",\"f\":" << f;
-  out << ",\"spans_recorded\":" << log.spans().size();
-  out << ",\"spans_dropped\":" << result.spans_dropped;
-
-  out << ",\"messages\":[";
-  bool first = true;
-  for (const auto& m : analyzer.messages()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":\"p" << m.id.origin.value << ":" << m.id.seq
-        << "\",\"complete\":" << (m.complete ? "true" : "false")
-        << ",\"dst_count\":" << m.dst_count
-        << ",\"global\":" << (m.is_global ? "true" : "false")
-        << ",\"submitted_ns\":" << m.submitted
-        << ",\"end_to_end_ns\":" << m.end_to_end;
-    if (m.complete) {
-      out << ",\"critical_dst\":" << m.critical_dst.value << ",\"totals\":";
-      json_components(out, m.totals);
-      out << ",\"hops\":[";
-      bool hop_first = true;
-      for (const auto& h : m.hops) {
-        if (!hop_first) out << ",";
-        hop_first = false;
-        out << "{\"group\":" << h.group.value
-            << ",\"replica\":" << h.replica.value << ",\"components\":";
-        json_components(out, h.components);
-        out << "}";
-      }
-      out << "]";
-    }
-    out << "}";
-  }
-  out << "]";
-
-  out << ",\"aggregates\":{\"local\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/false));
-  out << ",\"global\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/true));
-  out << "}";
-
-  out << ",\"edges\":[";
-  first = true;
-  for (const auto& [edge, stats] : analyzer.edge_latency()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"parent\":" << edge.first.value
-        << ",\"child\":" << edge.second.value << ",\"stats\":";
-    json_pcts(out, stats);
-    out << "}";
-  }
-  out << "]";
-
-  // Summed across every /healthz that answered; per-monitor names match the
-  // in-process writer so validators treat both identically.
-  out << ",\"monitor\":";
-  std::uint64_t fifo = 0;
-  std::uint64_t agreement = 0;
-  std::uint64_t acyclic = 0;
-  std::uint64_t pending = 0;
-  bool any_healthz = false;
+  std::optional<MonitorCounts> monitors;
   for (const NodeCapture& node : result.nodes) {
-    const Json& h = node.healthz;
-    if (!h.is_object() || !h.get("monitor").is_object()) continue;
-    any_healthz = true;
-    const Json& m = h.get("monitor");
-    fifo += static_cast<std::uint64_t>(m.int_or("fifo", 0));
-    agreement += static_cast<std::uint64_t>(m.int_or("group_agreement", 0));
-    acyclic += static_cast<std::uint64_t>(m.int_or("acyclic_order", 0));
-    pending += static_cast<std::uint64_t>(m.int_or("bounded_pending", 0));
+    const Json& m = node.healthz.get("monitor");
+    if (!m.is_object()) continue;
+    if (!monitors) monitors.emplace().total = result.monitor_violations;
+    for (std::size_t i = 0; i < std::size(kMonitorNames); ++i) {
+      monitors->by_monitor[i] +=
+          static_cast<std::uint64_t>(m.int_or(kMonitorNames[i], 0));
+    }
   }
-  if (any_healthz) {
-    out << "{\"violations_total\":" << result.monitor_violations
-        << ",\"fifo\":" << fifo << ",\"group_agreement\":" << agreement
-        << ",\"acyclic_order\":" << acyclic
-        << ",\"bounded_pending\":" << pending << "}";
-  } else {
-    out << "null";
-  }
+  core::write_spans_v1(out, analyzer, f, log.spans().size(),
+                       result.spans_dropped, monitors);
 
   out << ",\"cluster\":{\"nodes\":[";
-  first = true;
+  bool first = true;
   for (const NodeCapture& node : result.nodes) {
     if (!first) out << ",";
     first = false;
@@ -422,6 +332,11 @@ bool write_merged_sidecar(const std::string& path, const SpanLog& log, int f,
           << ",\"clock_samples\":" << node.clock.samples
           << ",\"spans\":" << node.raw.spans.size()
           << ",\"spans_dropped\":" << node.raw.dropped;
+      // Replica seats: their /healthz counters, so the merged sidecar
+      // names the seat behind a view change or a snapshot restore.
+      if (node.healthz.get("counters").is_object()) {
+        out << ",\"counters\":" << node.healthz.get("counters").dump();
+      }
     } else {
       // Prose only; escape the two characters that can break the JSON.
       std::string msg;

@@ -34,7 +34,6 @@
 namespace byzcast::net {
 
 inline constexpr const char* kRawSpansSchema = "byzcast-raw-spans-v1";
-inline constexpr const char* kMergedSpansSchema = "byzcast-spans-v1";
 
 // --- raw span exchange format (served by /spans) --------------------------
 

@@ -41,6 +41,7 @@
 #include <unordered_set>
 
 #include "common/auth.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "net/event_loop.hpp"
 #include "net/transport.hpp"
@@ -62,6 +63,13 @@ class NetEnv final : public sim::ExecutionEnv {
     std::uint64_t remote_sends = 0;
     std::uint64_t ghost_send_drops = 0;   // sends from non-local pids
     std::uint64_t no_actor_drops = 0;     // local pid with no live actor
+  };
+  /// Every Stats field by its published name (net.env.<name>).
+  static constexpr StatField<Stats> kStatFields[] = {
+      {"local_deliveries", &Stats::local_deliveries},
+      {"remote_sends", &Stats::remote_sends},
+      {"ghost_send_drops", &Stats::ghost_send_drops},
+      {"no_actor_drops", &Stats::no_actor_drops},
   };
 
   explicit NetEnv(NetEnvOptions opts);

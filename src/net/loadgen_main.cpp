@@ -258,7 +258,6 @@ void write_load_artifacts(const Args& args, net::ClusterNode& node,
   }
 
   const LatencyRecorder& latency = driver.sinks().latency_all;
-  const auto tr = node.env().transport().stats();
   const double throughput = completed / (elapsed_ms / 1000.0);
   summary.set("completed", net::Json::number(completed));
   summary.set("total", net::Json::number(issued_total));
@@ -268,14 +267,9 @@ void write_load_artifacts(const Args& args, net::ClusterNode& node,
   summary.set("latency_p50_ms", net::Json::number(latency.percentile_ms(50)));
   summary.set("latency_p95_ms", net::Json::number(latency.percentile_ms(95)));
   summary.set("latency_p99_ms", net::Json::number(latency.percentile_ms(99)));
-  summary.set("bytes_sent",
-              net::Json::number(static_cast<double>(tr.bytes_sent)));
-  summary.set("bytes_received",
-              net::Json::number(static_cast<double>(tr.bytes_received)));
-  summary.set("reconnects",
-              net::Json::number(static_cast<double>(tr.reconnects)));
-  summary.set("dropped_queue_full",
-              net::Json::number(static_cast<double>(tr.dropped_queue_full)));
+  const net::Json transport = net::stats_json(
+      net::Transport::kStatFields, node.env().transport().stats());
+  for (const auto& [key, value] : transport.members()) summary.set(key, value);
   if (!net::write_json_file(args.out_dir + "/loadgen_summary.json", summary,
                             &error)) {
     std::fprintf(stderr, "byzcast-loadgen: %s\n", error.c_str());

@@ -362,19 +362,15 @@ void Transport::shutdown() {
   }
   learned_.clear();
   clock_.clear();
+  // Each close handler folds its connection into retired_; under shutdown_
+  // it schedules no redial.
   for (Peer& peer : peers_) {
     if (peer.conn) {
-      retired_ = accumulate(retired_, peer.conn->stats());
-      peer.conn->close();  // close handler no-ops under shutdown_
+      peer.conn->close();
       peer.conn.reset();
     }
   }
-  for (auto& conn : inbound_) {
-    if (!conn->closed()) {
-      retired_ = accumulate(retired_, conn->stats());
-      conn->close();
-    }
-  }
+  for (auto& conn : inbound_) conn->close();
   inbound_.clear();
 }
 
@@ -392,12 +388,16 @@ Connection::Stats Transport::accumulate(Connection::Stats total,
 
 Transport::Stats Transport::stats() const {
   Stats out = stats_;
+  // A closed connection is already in retired_ (its close handler folded
+  // it) while it waits for its redial or reap.
   Connection::Stats conn_total = retired_;
   for (const Peer& peer : peers_) {
-    if (peer.conn) conn_total = accumulate(conn_total, peer.conn->stats());
+    if (peer.conn && !peer.conn->closed()) {
+      conn_total = accumulate(conn_total, peer.conn->stats());
+    }
   }
   for (const auto& conn : inbound_) {
-    conn_total = accumulate(conn_total, conn->stats());
+    if (!conn->closed()) conn_total = accumulate(conn_total, conn->stats());
   }
   out.bytes_sent = conn_total.bytes_out;
   out.bytes_received = conn_total.bytes_in;

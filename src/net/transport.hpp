@@ -24,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
@@ -52,9 +53,27 @@ class Transport {
     std::uint64_t reconnects = 0;       // attempts after a failure
     std::uint64_t inbound_accepted = 0;
     std::uint64_t inbound_resets = 0;   // framing violations / errors
-    std::size_t send_queue_high_water = 0;
+    std::uint64_t send_queue_high_water = 0;  // bytes; a level
     std::uint64_t clock_pings_sent = 0;
     std::uint64_t clock_pongs_received = 0;
+  };
+  /// Every Stats field by its published name (net.transport.<name>).
+  static constexpr StatField<Stats> kStatFields[] = {
+      {"messages_sent", &Stats::messages_sent},
+      {"messages_received", &Stats::messages_received},
+      {"bytes_sent", &Stats::bytes_sent},
+      {"bytes_received", &Stats::bytes_received},
+      {"dropped_no_route", &Stats::dropped_no_route},
+      {"dropped_queue_full", &Stats::dropped_queue_full},
+      {"dropped_decode", &Stats::dropped_decode},
+      {"connect_attempts", &Stats::connect_attempts},
+      {"reconnects", &Stats::reconnects},
+      {"inbound_accepted", &Stats::inbound_accepted},
+      {"inbound_resets", &Stats::inbound_resets},
+      {"send_queue_high_water", &Stats::send_queue_high_water,
+       /*gauge=*/true},
+      {"clock_pings_sent", &Stats::clock_pings_sent},
+      {"clock_pongs_received", &Stats::clock_pongs_received},
   };
 
   /// Clock-sync state of one live connection: `offset` maps the peer's clock

@@ -20,12 +20,24 @@ RuntimeOptions resolve(RuntimeOptions opts, const core::OverlayTree& tree) {
 ParallelSystem::ParallelSystem(core::OverlayTree tree, int f,
                                ParallelOptions opts)
     : env_(resolve(opts.runtime, tree)),
+      metrics_(opts.obs.metrics),
       system_(env_, std::move(tree), f, opts.faults, opts.routing, opts.obs) {}
 
 ParallelSystem::~ParallelSystem() {
   // Members die in reverse order (clients, system, env); stopping first
   // guarantees no worker or timer thread is inside an actor by then.
   env_.stop();
+}
+
+void ParallelSystem::stop() {
+  env_.stop();
+  if (metrics_ == nullptr) return;
+  for (const auto& [gid, info] : system_.registry()) {
+    const bft::Group& grp = system_.group(gid);
+    for (int i = 0; i < grp.n(); ++i) {
+      grp.replica(i).publish_counters(*metrics_);
+    }
+  }
 }
 
 core::Client& ParallelSystem::add_client(const std::string& name) {

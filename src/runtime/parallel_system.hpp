@@ -46,7 +46,9 @@ class ParallelSystem {
   }
 
   void start() { env_.start(); }
-  void stop() { env_.stop(); }
+  /// Stops the backend, then publishes every replica's counters into the
+  /// attached MetricsRegistry (when one is attached).
+  void stop();
 
   /// a-multicasts from `client`, posted to the client's worker with
   /// backpressure (this is the load-injection edge; call from outside the
@@ -66,6 +68,7 @@ class ParallelSystem {
 
  private:
   RuntimeEnv env_;
+  MetricsRegistry* metrics_;  // non-owning; null = not published
   core::ByzCastSystem system_;
   std::vector<std::unique_ptr<core::Client>> clients_;
 };

@@ -70,45 +70,14 @@ void assign_group_regions(sim::WanLatency& wan,
   }
 }
 
-std::string replica_label(GroupId g, int index) {
-  return to_string(g) + ".r" + std::to_string(index);
-}
-
-/// Every bft::Replica::Counters field, published as replica.<name>.<gN.rI>
-/// when nonzero: an absent name reads as 0. Publishing all of them cost
-/// about a quarter of a 1 ms run's set-up time in map inserts.
-using ReplicaCounter = std::uint64_t bft::Replica::Counters::*;
-constexpr std::pair<const char*, ReplicaCounter> kReplicaCounters[] = {
-    {"views_installed", &bft::Replica::Counters::views_installed},
-    {"state_transfers", &bft::Replica::Counters::state_transfers},
-    {"proposals_made", &bft::Replica::Counters::proposals_made},
-    {"checkpoints_taken", &bft::Replica::Counters::checkpoints_taken},
-    {"rejected_requests", &bft::Replica::Counters::rejected_requests},
-    {"early_batch_cuts", &bft::Replica::Counters::early_batch_cuts},
-    {"timer_batch_cuts", &bft::Replica::Counters::timer_batch_cuts},
-    {"stale_window_drops", &bft::Replica::Counters::stale_window_drops},
-    {"buffered_decisions", &bft::Replica::Counters::buffered_decisions},
-    {"staged_verifies", &bft::Replica::Counters::staged_verifies},
-    {"deferred_execs", &bft::Replica::Counters::deferred_execs},
-    {"out_of_window_proposals",
-     &bft::Replica::Counters::out_of_window_proposals},
-};
-
-/// Per-replica protocol counters of one group, pulled into the registry
-/// after the run; every protocol publishes the same replica.* names.
+/// Per-replica protocol counters of one group, published after the run,
+/// plus the simulator-only CPU-busy gauge.
 void export_replica_counters(MetricsRegistry& reg, bft::Group& grp,
                              Time horizon) {
   for (int i = 0; i < grp.n(); ++i) {
     const auto& rep = grp.replica(i);
-    const std::string label = replica_label(grp.id(), i);
-    reg.counter("replica.executed." + label).inc(rep.executed_requests());
-    reg.counter("replica.decided." + label).inc(rep.decided_instances());
-    for (const auto& [name, field] : kReplicaCounters) {
-      if (const std::uint64_t value = rep.counters().*field; value != 0) {
-        reg.counter("replica." + std::string(name) + "." + label).inc(value);
-      }
-    }
-    reg.gauge("replica.cpu_busy_mean." + label)
+    rep.publish_counters(reg);
+    reg.gauge("replica.cpu_busy_mean." + rep.metrics_label())
         .set(static_cast<double>(rep.busy_time()) /
              static_cast<double>(horizon));
   }
@@ -231,7 +200,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
     if (sampler) {
       for (int i = 0; i < group.n(); ++i) {
-        sampler->watch(group.replica(i), replica_label(group.id(), i));
+        sampler->watch(group.replica(i), group.replica(i).metrics_label());
       }
       sampler->start(horizon);
     }
@@ -279,7 +248,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       for (const auto& [gid, info] : sys->registry()) {
         auto& grp = sys->group(gid);
         for (int i = 0; i < grp.n(); ++i) {
-          sampler->watch(grp.replica(i), replica_label(gid, i));
+          sampler->watch(grp.replica(i), grp.replica(i).metrics_label());
         }
       }
       sampler->start(horizon);

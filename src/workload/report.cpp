@@ -87,50 +87,6 @@ void write_series_csv(const std::string& path,
   }
 }
 
-namespace {
-
-void json_components(std::ostream& out, const core::Components& c) {
-  out << "{\"queueing_ns\":" << c.queueing << ",\"cpu_ns\":" << c.cpu
-      << ",\"network_ns\":" << c.network << ",\"quorum_wait_ns\":"
-      << c.quorum_wait << "}";
-}
-
-void json_pcts(std::ostream& out, const core::PercentileStats& s) {
-  out << "{\"n\":" << s.n << ",\"p50_ns\":" << s.p50 << ",\"p99_ns\":"
-      << s.p99 << "}";
-}
-
-void json_aggregate(std::ostream& out, const core::ClassAggregate& a) {
-  out << "{\"n\":" << a.n << ",\"end_to_end\":";
-  json_pcts(out, a.end_to_end);
-  out << ",\"queueing\":";
-  json_pcts(out, a.queueing);
-  out << ",\"cpu\":";
-  json_pcts(out, a.cpu);
-  out << ",\"network\":";
-  json_pcts(out, a.network);
-  out << ",\"quorum_wait\":";
-  json_pcts(out, a.quorum_wait);
-  out << "}";
-}
-
-void json_hops(std::ostream& out,
-               const std::vector<core::HopBreakdown>& hops) {
-  out << "[";
-  bool first = true;
-  for (const auto& h : hops) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"group\":" << h.group.value << ",\"replica\":"
-        << h.replica.value << ",\"components\":";
-    json_components(out, h.components);
-    out << "}";
-  }
-  out << "]";
-}
-
-}  // namespace
-
 void write_metrics_sidecar(const std::string& path,
                            const ExperimentResult& result) {
   if (!result.metrics) return;
@@ -159,7 +115,7 @@ void write_metrics_sidecar(const std::string& path,
     });
     if (pick != msgs.end()) {
       out << "{\"msg\":\"" << to_string(pick->id) << "\",\"hops\":";
-      json_hops(out, pick->hops);
+      core::write_hops_json(out, pick->hops);
       out << "}";
     } else {
       out << "null";
@@ -177,62 +133,12 @@ void write_span_sidecar(const std::string& path,
   auto out = open_csv(path);
   if (!out) return;
 
-  core::CriticalPathAnalyzer analyzer(*result.spans,
-                                      core::CriticalPathAnalyzer::Options{f});
-  out << "{\"schema\":\"byzcast-spans-v1\"";
-  out << ",\"f\":" << f;
-  out << ",\"spans_recorded\":" << result.spans->spans().size();
-  out << ",\"spans_dropped\":" << result.spans->dropped();
-
-  out << ",\"messages\":[";
-  bool first = true;
-  for (const auto& m : analyzer.messages()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":\"" << to_string(m.id) << "\",\"complete\":"
-        << (m.complete ? "true" : "false") << ",\"dst_count\":" << m.dst_count
-        << ",\"global\":" << (m.is_global ? "true" : "false")
-        << ",\"submitted_ns\":" << m.submitted << ",\"end_to_end_ns\":"
-        << m.end_to_end;
-    if (m.complete) {
-      out << ",\"critical_dst\":" << m.critical_dst.value << ",\"totals\":";
-      json_components(out, m.totals);
-      out << ",\"hops\":";
-      json_hops(out, m.hops);
-    }
-    out << "}";
-  }
-  out << "]";
-
-  out << ",\"aggregates\":{\"local\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/false));
-  out << ",\"global\":";
-  json_aggregate(out, analyzer.aggregate(/*global=*/true));
-  out << "}";
-
-  out << ",\"edges\":[";
-  first = true;
-  for (const auto& [edge, stats] : analyzer.edge_latency()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"parent\":" << edge.first.value << ",\"child\":"
-        << edge.second.value << ",\"stats\":";
-    json_pcts(out, stats);
-    out << "}";
-  }
-  out << "]";
-
-  out << ",\"monitor\":";
-  if (result.monitors) {
-    out << "{\"violations_total\":" << result.monitors->total_violations();
-    for (const char* name :
-         {"fifo", "group_agreement", "acyclic_order", "bounded_pending"}) {
-      out << ",\"" << name << "\":" << result.monitors->violations(name);
-    }
-    out << "}";
-  } else {
-    out << "null";
-  }
+  const core::CriticalPathAnalyzer analyzer(
+      *result.spans, core::CriticalPathAnalyzer::Options{f});
+  core::write_spans_v1(
+      out, analyzer, f, result.spans->spans().size(), result.spans->dropped(),
+      result.monitors ? std::optional(result.monitors->counts())
+                      : std::nullopt);
   out << "}\n";
 }
 

@@ -9,12 +9,8 @@ namespace byzcast::workload {
 namespace {
 
 std::uint64_t sum_monitor_violations(const ExperimentResult& result) {
-  if (!result.metrics) return 0;
-  std::uint64_t total = 0;
-  for (const auto& [name, counter] : result.metrics->counters()) {
-    if (name.rfind("monitor.violations.", 0) == 0) total += counter.value();
-  }
-  return total;
+  return result.metrics ? result.metrics->counter_sum("monitor.violations.")
+                        : 0;
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // checkpoints fire on schedule.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <numeric>
+
 #include "bft/client_proxy.hpp"
 #include "bft/group.hpp"
 #include "sim/simulation.hpp"
@@ -124,6 +128,69 @@ TEST(Counters, CheckpointsFollowPeriod) {
   // 20 sequential ops from one closed-loop client = 20 instances -> at
   // least 20/3 checkpoints.
   EXPECT_GE(group.replica(0).counters().checkpoints_taken, 5u);
+}
+
+TEST(Counters, EveryFieldIsPublishedUnderItsName) {
+  // Counters is a flat list of u64 totals. Giving each a distinct value by
+  // position means a field missing from kCounterFields leaves its value
+  // unpublished, and a field published under another's name shows up.
+  constexpr std::size_t kFields =
+      sizeof(Replica::Counters) / sizeof(std::uint64_t);
+  static_assert(sizeof(Replica::Counters) == kFields * sizeof(std::uint64_t));
+  std::array<std::uint64_t, kFields> values{};
+  std::iota(values.begin(), values.end(), std::uint64_t{1});
+  Replica::Counters counters;
+  std::memcpy(&counters, values.data(), sizeof counters);
+
+  const std::vector<std::string> names = {
+      "views_installed",   "state_transfers",
+      "proposals_made",    "checkpoints_taken",
+      "rejected_requests", "early_batch_cuts",
+      "timer_batch_cuts",  "stale_window_drops",
+      "buffered_decisions", "staged_verifies",
+      "deferred_execs",    "out_of_window_proposals",
+      "snapshot_restores", "snapshot_skipped_instances"};
+  ASSERT_EQ(names.size(), kFields);
+
+  MetricsRegistry reg;
+  for (int pass = 0; pass < 2; ++pass) {  // republishing changes nothing
+    publish(reg, Replica::kCounterFields, counters, "replica.", ".g0.r0");
+    ASSERT_EQ(reg.counters().size(), kFields);
+    for (std::size_t i = 0; i < kFields; ++i) {
+      const std::string name = "replica." + names[i] + ".g0.r0";
+      ASSERT_TRUE(reg.counters().contains(name)) << name;
+      EXPECT_EQ(reg.counters().at(name).value(), i + 1) << name;
+    }
+  }
+}
+
+TEST(Counters, PublishedZeroCountersStayAbsent) {
+  // Before any traffic every Counters field is 0 and reads as absent;
+  // executed and decided are published regardless.
+  std::map<int, ExecutionTrace> traces;
+  sim::Simulation sim(206, sim::Profile::lan());
+  Group group(sim, GroupId{0}, 1, recording_factory(traces));
+  MetricsRegistry reg;
+  for (int i = 0; i < 4; ++i) group.replica(i).publish_counters(reg);
+  ASSERT_EQ(reg.counters().size(), 8u);
+  for (int i = 0; i < 4; ++i) {
+    const std::string label = group.replica(i).metrics_label();
+    EXPECT_EQ(label, "g0.r" + std::to_string(i));
+    EXPECT_EQ(reg.counters().at("replica.executed." + label).value(), 0u);
+    EXPECT_EQ(reg.counters().at("replica.decided." + label).value(), 0u);
+  }
+
+  EXPECT_EQ(run_ops(sim, group, 5, 30 * kSecond), 5);
+  for (int i = 0; i < 4; ++i) {
+    const Replica& r = group.replica(i);
+    r.publish_counters(reg);
+    EXPECT_EQ(reg.counters().at("replica.executed." + r.metrics_label())
+                  .value(),
+              r.executed_requests());
+  }
+  EXPECT_EQ(reg.counters().at("replica.proposals_made.g0.r0").value(),
+            group.replica(0).counters().proposals_made);
+  EXPECT_FALSE(reg.counters().contains("replica.views_installed.g0.r0"));
 }
 
 }  // namespace

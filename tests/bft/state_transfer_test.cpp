@@ -73,6 +73,10 @@ TEST(StateTransfer, LaggardCatchesUpFromLogTail) {
   }
   EXPECT_EQ(h.group.replica(3).history_digest(),
             h.group.replica(0).history_digest());
+  // The log tail sufficed: no snapshot was restored.
+  EXPECT_GE(h.group.replica(3).counters().state_transfers, 1u);
+  EXPECT_EQ(h.group.replica(3).counters().snapshot_restores, 0u);
+  EXPECT_EQ(h.group.replica(3).counters().snapshot_skipped_instances, 0u);
 }
 
 TEST(StateTransfer, LaggardRestoresFromSnapshotAfterTruncation) {
@@ -148,6 +152,19 @@ TEST(StateTransfer, SnapshotCarriesHeldBackRequests) {
   EXPECT_EQ(laggard.decided_instances(), peer.decided_instances());
   EXPECT_EQ(laggard.executed_requests(), peer.executed_requests());
   EXPECT_EQ(laggard.history_digest(), peer.history_digest());
+}
+
+TEST(StateTransfer, SnapshotRestoreCountsTheJump) {
+  HeldBackCheckpoint run;
+  // Cut off from the start, the laggard had decided nothing when it adopted
+  // the checkpoint at instance 4: one restore that skipped instances 0-3.
+  const Replica& laggard = run.h.group.replica(3);
+  EXPECT_EQ(laggard.counters().snapshot_restores, 1u);
+  EXPECT_EQ(laggard.counters().snapshot_skipped_instances, 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(run.h.group.replica(i).counters().snapshot_restores, 0u)
+        << "replica " << i;
+  }
 }
 
 TEST(StateTransfer, ReplayOfRestoredRequestIsRejected) {

@@ -18,6 +18,40 @@ TEST(Metrics, CounterAndGaugeBasics) {
   EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.75);
 }
 
+TEST(Metrics, RaiseToPublishesATotalOnce) {
+  MetricsRegistry reg;
+  Counter& c = reg.counter("total");
+  c.raise_to(5);
+  c.raise_to(5);  // the same snapshot again: no effect
+  EXPECT_EQ(c.value(), 5u);
+  c.raise_to(9);
+  EXPECT_EQ(c.value(), 9u);
+  EXPECT_DEATH(c.raise_to(8), "Precondition");
+}
+
+/// A stats struct with one counter field and one level.
+struct Pair {
+  std::uint64_t events = 0;
+  std::uint64_t level = 0;
+};
+constexpr StatField<Pair> kPairFields[] = {
+    {"events", &Pair::events},
+    {"level", &Pair::level, /*gauge=*/true},
+};
+
+TEST(Metrics, PublishWritesCountersAndGaugesByTable) {
+  MetricsRegistry reg;
+  publish(reg, kPairFields, Pair{.events = 0, .level = 3}, "p.", ".x",
+          /*skip_zero=*/true);
+  EXPECT_FALSE(reg.counters().contains("p.events.x"));  // absent reads as 0
+  EXPECT_DOUBLE_EQ(reg.gauges().at("p.level.x").value(), 3.0);
+  publish(reg, kPairFields, Pair{.events = 4, .level = 1}, "p.", ".x");
+  EXPECT_EQ(reg.counters().at("p.events.x").value(), 4u);
+  EXPECT_DOUBLE_EQ(reg.gauges().at("p.level.x").value(), 1.0);
+  EXPECT_STREQ(stat_name(kPairFields, &Pair::level), "level");
+  EXPECT_EQ(reg.counter_sum("p."), 4u);
+}
+
 TEST(Metrics, ReferencesAreStableAcrossInsertions) {
   MetricsRegistry reg;
   Counter& a = reg.counter("hot.path");

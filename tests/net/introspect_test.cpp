@@ -156,6 +156,7 @@ ClusterConfig three_group_config() {
 struct Scrape {
   std::int64_t decided = 0;
   std::int64_t deliveries = 0;
+  std::int64_t executed = 0;  // from the seat's "counters" object
 };
 
 Scrape scrape_healthz(std::uint16_t port) {
@@ -172,6 +173,7 @@ Scrape scrape_healthz(std::uint16_t port) {
   EXPECT_EQ(j->get("monitor").int_or("violations_total", -1), 0);
   s.decided = j->int_or("decided_instances", -1);
   s.deliveries = j->int_or("deliveries", -1);
+  s.executed = j->get("counters").int_or("executed_requests", -1);
   EXPECT_GE(s.decided, 0);
   EXPECT_GE(s.deliveries, 0);
   return s;
@@ -248,6 +250,24 @@ TEST(ClusterIntrospection, MidRunScrapeShowsProgressAndMergeIsClean) {
   EXPECT_NE(mid_metrics.find("node=\"g0_r0\""), std::string::npos);
   EXPECT_NE(mid_metrics.find("net_transport_messages_sent"),
             std::string::npos);
+  // The seat's replica counters ride the same scrape, and only the seat's:
+  // the ghost replicas this process also builds publish nothing.
+  EXPECT_NE(mid_metrics.find("replica_executed_g0_r0_total"),
+            std::string::npos);
+  EXPECT_GT(mid.executed, 0);
+  for (int g = 0; g < 3; ++g) {
+    for (int i = 0; i < 4; ++i) {
+      if (g == 0 && i == 0) continue;
+      const std::string ghost =
+          "_g" + std::to_string(g) + "_r" + std::to_string(i) + "_total";
+      EXPECT_EQ(mid_metrics.find("replica_decided" + ghost),
+                std::string::npos)
+          << ghost;
+      EXPECT_EQ(mid_metrics.find("replica_executed" + ghost),
+                std::string::npos)
+          << ghost;
+    }
+  }
 
   // Let stragglers catch up, then scrape again: monotone progress.
   std::uint64_t last = cluster.total_deliveries();

@@ -106,6 +106,19 @@ TEST(RuntimeSystem, MixedWorkloadSatisfiesAtomicMulticastProperties) {
   EXPECT_EQ(spans.traced_messages().size(), sent.size());
   EXPECT_EQ(spans.dropped(), 0u);
   EXPECT_GT(metrics.counters().size(), 0u);
+
+  // stop() published every replica's counters, the auxiliary root's too.
+  for (const auto& [gid, info] : system.system().registry()) {
+    const bft::Group& grp = system.system().group(gid);
+    for (int i = 0; i < grp.n(); ++i) {
+      const std::string name =
+          "replica.executed." + grp.replica(i).metrics_label();
+      ASSERT_TRUE(metrics.counters().contains(name)) << name;
+      EXPECT_EQ(metrics.counters().at(name).value(),
+                grp.replica(i).executed_requests())
+          << name;
+    }
+  }
 }
 
 TEST(RuntimeSystem, InjectedLatencyStillDeliversEverything) {

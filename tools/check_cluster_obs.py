@@ -16,6 +16,9 @@ one per daemon, e.g. byzcast-ctl scrape's prom_*.txt). For each file:
   * histogram bucket series are cumulative (nondecreasing in le order),
     end in an le="+Inf" bucket, and that bucket equals the `_count`
     sample — the mid-run scrape invariant.
+  * a replica daemon's scrape (prom_g<G>_r<I>.txt) carries that seat's
+    replica_decided_g<G>_r<I>_total counter: the replica counters reach
+    /metrics on the real stack.
 
 CLUSTER_SPANS_JSON is the merged sidecar written by `byzcast-ctl merge`
 (schema "byzcast-spans-v1" plus a "cluster" section). Checks:
@@ -33,6 +36,7 @@ Exits nonzero after reporting every failure, so CI can gate on it.
 """
 
 import json
+import os
 import re
 import sys
 
@@ -42,6 +46,7 @@ NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 # name{labels} value  |  name value
 SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$")
 LE_RE = re.compile(r'le="([^"]*)"')
+SEAT_FILE_RE = re.compile(r"^prom_(g\d+_r\d+)\.txt$")
 
 
 def fail(msg):
@@ -131,6 +136,12 @@ def check_metrics_file(path):
             require(les[-1][1] == counts[0][1],
                     f"{path}: {metric} +Inf bucket {les[-1][1]} != "
                     f"_count {counts[0][1]}")
+
+    seat = SEAT_FILE_RE.match(os.path.basename(path))
+    if seat:
+        decided = f"replica_decided_{seat.group(1)}_total"
+        require(decided in counter_metrics and by_name.get(decided),
+                f"{path}: replica seat lacks a {decided} sample")
 
     print(f"ok: {path}: {len(samples)} samples, "
           f"{len(counter_metrics)} counters, "
